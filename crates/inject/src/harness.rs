@@ -16,6 +16,17 @@
 //!   trials are pure functions of `(seed, index)`, the resumed tallies are
 //!   byte-identical to an uninterrupted run.
 //!
+//! Every arch-level entry point — [`run_arch_campaign_checkpointed`],
+//! [`run_recovery_campaign_checkpointed`] and the service's
+//! [`run_arch_shard_checkpointed`] — runs one private in-order driver over
+//! a trial range (`[0, trials)` for whole campaigns) and persists one
+//! versioned checkpoint record with one loader. A file that is not
+//! resumable is logged and the run restarts from its range start; one
+//! written under another schema version, trial engine or fault mix is
+//! *stale* and flags the run. The gate-level
+//! [`run_unit_campaign_checkpointed`] keeps its own chunked loop and
+//! records sidecar, under the same schema-version check.
+//!
 //! Checkpoints and the anomaly log live in the directory named by the
 //! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
 //! [`CheckpointConfig::dir`]); with no directory configured the harness
@@ -33,7 +44,7 @@ use swapcodes_core::Scheme;
 use swapcodes_gates::units::ArithUnit;
 use swapcodes_workloads::Workload;
 
-use swapcodes_sim::recovery::RecoveryStats;
+use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};
 use swapcodes_sim::{CancelToken, FaultClass};
 
 use crate::arch::{ArchCampaign, ArchOutcomes, FaultClassTallies, PrepError, TrialOutcome};
@@ -203,24 +214,6 @@ pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Engine tag of the tier-1 fast-forward engine over the *unpeepholed*
-/// kernel (snapshot resume + convergence pruning). Plain arch-campaign
-/// checkpoints are stamped with the prepared campaign's actual tag —
-/// [`crate::arch::CampaignOptions::engine_tag`]: `"ff1"`/`"ff2"` for
-/// tier 1/tier 2, with a `p` suffix when the peephole pass ran — and a
-/// checkpoint carrying any other tag (or none, from before tagging
-/// existed) is rejected with a logged anomaly instead of silently resumed:
-/// the peephole pass changes the eligible-op numbering, so tallies from
-/// different engines must never be mixed.
-pub const ENGINE_FAST_FORWARD: &str = "ff1";
-
-/// Engine tag stamped into recovery-campaign checkpoints over the
-/// unpeepholed kernel: recovery trials run on the classic executor
-/// (in-executor rollback needs the full warp machinery). With the peephole
-/// pass enabled (the default) the tag is
-/// [`crate::arch::CampaignOptions::recovery_engine_tag`]'s `"classicp"`.
-pub const ENGINE_CLASSIC: &str = "classic";
-
 /// Write `contents` to `path` atomically: write and fsync a sibling
 /// temporary file, then rename it over the target. A crash at any point
 /// leaves either the old file or the new one, never a torn mix.
@@ -307,10 +300,42 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Decode the body of a JSON string literal: everything [`json_escape`]
+/// emits, plus the remaining short escapes. `None` on a bad escape.
+fn json_unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            '"' => '"',
+            '\\' => '\\',
+            '/' => '/',
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'b' => '\u{8}',
+            'f' => '\u{c}',
+            'u' => {
+                let hex: String = chars.by_ref().take(4).collect();
+                if hex.len() != 4 || !hex.chars().all(|h| h.is_ascii_hexdigit()) {
+                    return None;
+                }
+                char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
+            }
+            _ => return None,
+        });
+    }
+    Some(out)
+}
+
 /// Parse one flat JSON object (`{"key":value,...}`) into raw `(key, value)`
-/// string pairs. Values are numbers, `true`/`false`, or strings without
-/// escapes beyond `\"`/`\\` — exactly what this module writes. Returns
-/// `None` on anything malformed (a torn or foreign line).
+/// string pairs. Values are numbers, `true`/`false`, or strings, which are
+/// decoded with [`json_unescape`] — exactly what this module writes.
+/// Returns `None` on anything malformed (a torn or foreign line).
 fn parse_flat(line: &str) -> Option<Vec<(String, String)>> {
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut fields = Vec::new();
@@ -338,7 +363,7 @@ fn parse_flat(line: &str) -> Option<Vec<(String, String)>> {
                 }
             }
             let end = end?;
-            value = after[..end].replace("\\\"", "\"").replace("\\\\", "\\");
+            value = json_unescape(&after[..end])?;
             rest = after[end + 1..].trim_start();
         } else {
             let end = rest.find(',').unwrap_or(rest.len());
@@ -422,11 +447,7 @@ impl AnomalyLog {
     pub fn record(&mut self, campaign: &str, item: u64, retries: u32, panic_msg: &str) {
         self.count += 1;
         let Some(path) = &self.path else { return };
-        let line = format!(
-            "{{\"campaign\":\"{}\",\"item\":{item},\"retries\":{retries},\"panic\":\"{}\"}}\n",
-            json_escape(campaign),
-            json_escape(panic_msg)
-        );
+        let line = anomaly_line(campaign, item, retries, panic_msg);
         // The lock lives on a sibling file that is never rotated or renamed,
         // so every writer — in this process or another — locks the same
         // inode. Dropping the guard (even on an early error path) unlocks.
@@ -438,6 +459,15 @@ impl AnomalyLog {
             .and_then(|mut f| f.write_all(line.as_bytes()));
         rotate_anomaly_log(path, ANOMALY_LOG_CAP_BYTES);
     }
+}
+
+/// One anomaly-log line, newline-terminated.
+fn anomaly_line(campaign: &str, item: u64, retries: u32, panic_msg: &str) -> String {
+    format!(
+        "{{\"campaign\":\"{}\",\"item\":{item},\"retries\":{retries},\"panic\":\"{}\"}}\n",
+        json_escape(campaign),
+        json_escape(panic_msg)
+    )
 }
 
 /// Take an exclusive advisory lock on `<path>.lock`, blocking until granted.
@@ -544,329 +574,33 @@ pub struct CampaignRun {
     pub finished: bool,
     /// Unrecoverable items logged during this invocation.
     pub anomalies: u64,
-    /// A checkpoint matching this campaign's identity was found but was
-    /// written by a different trial engine or fault-class mix; it was
-    /// rejected (with a logged anomaly) and the campaign restarted from
-    /// trial 0.
+    /// A checkpoint for this campaign was found but was written by a
+    /// different trial engine, fault-class mix or checkpoint schema
+    /// version; it was rejected (with a logged anomaly) and the campaign
+    /// restarted from trial 0.
     pub stale_engine: bool,
 }
 
-// ---------------------------------------------------------------------------
-// Architecture-level campaign with checkpointing
-// ---------------------------------------------------------------------------
-
-/// Serialize one tally's ten buckets with a per-class key prefix
-/// (`""` for the aggregate, `"t_"`/`"c_"`/`"s_"` for the classes).
-fn outcome_fields(prefix: &str, t: &ArchOutcomes) -> String {
-    format!(
-        "\"{prefix}trap\":{},\"{prefix}due\":{},\"{prefix}crash\":{},\"{prefix}hang\":{},\
-         \"{prefix}masked\":{},\"{prefix}sdc\":{},\"{prefix}rec_correct\":{},\
-         \"{prefix}rec_replay\":{},\"{prefix}rec_relaunch\":{},\"{prefix}miscorrected\":{}",
-        t.trap,
-        t.due,
-        t.crash,
-        t.hang,
-        t.masked,
-        t.sdc,
-        t.recovered_correct,
-        t.recovered_replay,
-        t.recovered_relaunch,
-        t.miscorrected
-    )
+/// Progress of a checkpointed detect-and-recover campaign invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryCampaignRun {
+    /// Aggregate tallies over every completed trial (resumed + this
+    /// invocation), including the `recovered_*`/`miscorrected` buckets.
+    pub outcomes: ArchOutcomes,
+    /// The same tallies split by fault class.
+    pub classes: FaultClassTallies,
+    /// Recovery work summed over every completed trial.
+    pub stats: RecoveryStats,
+    /// Trials completed so far.
+    pub completed: u64,
+    /// Whether the campaign ran to its trial target.
+    pub finished: bool,
+    /// Unrecoverable items logged during this invocation.
+    pub anomalies: u64,
+    /// A stale checkpoint was rejected and the campaign restarted from
+    /// trial 0 (see [`CampaignRun::stale_engine`]).
+    pub stale_engine: bool,
 }
-
-fn parse_outcome_fields(f: &[(String, String)], prefix: &str) -> Option<ArchOutcomes> {
-    let g = |k: &str| field_u64(f, &format!("{prefix}{k}"));
-    Some(ArchOutcomes {
-        trap: g("trap")?,
-        due: g("due")?,
-        crash: g("crash")?,
-        hang: g("hang")?,
-        masked: g("masked")?,
-        sdc: g("sdc")?,
-        recovered_correct: g("rec_correct")?,
-        recovered_replay: g("rec_replay")?,
-        recovered_relaunch: g("rec_relaunch")?,
-        miscorrected: g("miscorrected")?,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn arch_checkpoint_json(
-    mode: &str,
-    engine: &str,
-    mix: &str,
-    workload: &str,
-    scheme: &str,
-    seed: u64,
-    fuel: u64,
-    trials: u64,
-    completed: u64,
-    classes: &FaultClassTallies,
-    rs: &RecoveryStats,
-) -> String {
-    format!(
-        "{{\"campaign\":\"arch\",\"mode\":\"{mode}\",\"engine\":\"{engine}\",\
-         \"faultmix\":\"{}\",\"workload\":\"{}\",\"scheme\":\"{}\",\
-         \"seed\":{seed},\"fuel\":{fuel},\"trials\":{trials},\"completed\":{completed},\
-         {},{},{},{},\
-         \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
-        json_escape(mix),
-        json_escape(workload),
-        json_escape(scheme),
-        outcome_fields("", &classes.aggregate()),
-        outcome_fields("t_", &classes.transient),
-        outcome_fields("c_", &classes.control),
-        outcome_fields("s_", &classes.stuck_at),
-        rs.checkpoints,
-        rs.replays,
-        rs.replayed_instructions,
-        rs.corrections,
-        rs.relaunches
-    )
-}
-
-/// What loading an arch checkpoint found. The resumable payload dwarfs the
-/// rejection variants, but exactly one value exists per campaign launch, so
-/// boxing it would buy nothing.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-pub enum ArchCheckpoint {
-    /// Identity, engine and fault mix match: resume from
-    /// `(completed, per-class tallies, stats)`.
-    Resumable(u64, FaultClassTallies, RecoveryStats),
-    /// Identity matches but the checkpoint was written by a different (or
-    /// pre-tagging) trial engine: it describes the *same* campaign, so it
-    /// must not be silently ignored — the caller rejects it loudly and
-    /// restarts from trial 0.
-    StaleEngine {
-        /// The engine tag found in the file (empty when absent).
-        found: String,
-    },
-    /// Identity and engine match but the checkpoint was drawn under a
-    /// different fault-class mix (or predates mix tagging): per-trial
-    /// draws differ, so resuming would mix incomparable tallies. Rejected
-    /// loudly, campaign restarts from trial 0.
-    StaleFaultMix {
-        /// The mix tag found in the file (empty when absent).
-        found: String,
-    },
-    /// A different campaign's checkpoint (or a torn/foreign file): ignored.
-    Mismatch,
-}
-
-/// Parse an arch checkpoint, classifying it against this campaign's
-/// identity — a stale checkpoint from a different
-/// mode/workload/scheme/seed/fuel/trial-count is ignored, not misapplied.
-/// The `mode` field keeps a recovery campaign from resuming a plain
-/// campaign's tallies (and vice versa): same trials, different bucket
-/// semantics. The `engine` field keeps a checkpoint written by an older
-/// trial engine (pre fast-forward) from resuming into tallies produced by
-/// the new one, and `faultmix` does the same for the fault-class sampling
-/// mix (which changes every per-trial draw).
-#[allow(clippy::too_many_arguments)]
-fn load_arch_checkpoint(
-    path: &Path,
-    mode: &str,
-    engine: &str,
-    mix: &str,
-    workload: &str,
-    scheme: &str,
-    seed: u64,
-    fuel: u64,
-    trials: u64,
-) -> ArchCheckpoint {
-    let inner = || -> Option<ArchCheckpoint> {
-        let text = fs::read_to_string(path).ok()?;
-        let f = parse_flat(&text)?;
-        if field(&f, "campaign")? != "arch"
-            || field(&f, "mode")? != mode
-            || field(&f, "workload")? != workload
-            || field(&f, "scheme")? != scheme
-            || field_u64(&f, "seed")? != seed
-            || field_u64(&f, "fuel")? != fuel
-            || field_u64(&f, "trials")? != trials
-        {
-            return None;
-        }
-        let found_engine = field(&f, "engine").unwrap_or("");
-        if found_engine != engine {
-            return Some(ArchCheckpoint::StaleEngine {
-                found: found_engine.to_owned(),
-            });
-        }
-        let found_mix = field(&f, "faultmix").unwrap_or("");
-        if found_mix != mix {
-            return Some(ArchCheckpoint::StaleFaultMix {
-                found: found_mix.to_owned(),
-            });
-        }
-        let completed = field_u64(&f, "completed")?;
-        let classes = FaultClassTallies {
-            transient: parse_outcome_fields(&f, "t_")?,
-            control: parse_outcome_fields(&f, "c_")?,
-            stuck_at: parse_outcome_fields(&f, "s_")?,
-        };
-        // The aggregate fields are redundant with the class buckets; a
-        // disagreement means a torn or hand-edited file.
-        if parse_outcome_fields(&f, "")? != classes.aggregate() {
-            return None;
-        }
-        let stats = RecoveryStats {
-            checkpoints: field_u64(&f, "ckpts")?,
-            replays: field_u64(&f, "replays")?,
-            replayed_instructions: field_u64(&f, "replayed")?,
-            corrections: field_u64(&f, "corrections")?,
-            relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
-        };
-        (completed <= trials && classes.total() == completed)
-            .then_some(ArchCheckpoint::Resumable(completed, classes, stats))
-    };
-    inner().unwrap_or(ArchCheckpoint::Mismatch)
-}
-
-/// Run (or resume) an architecture-level campaign with panic containment,
-/// anomaly logging and periodic atomic checkpoints.
-///
-/// Because trials are pure in `(seed, index)`, a resumed campaign tallies
-/// byte-identically to an uninterrupted one. Unrecoverable trials are
-/// logged and conservatively counted as `crash`.
-///
-/// # Errors
-///
-/// Propagates [`PrepError`] when the campaign cannot start at all.
-pub fn run_arch_campaign_checkpointed(
-    workload: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    ck: &CheckpointConfig,
-) -> Result<CampaignRun, PrepError> {
-    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let engine = campaign.engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = scheme.label();
-    let name = format!("arch-{}-{}", slug(workload.name), slug(&scheme_label));
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{name}.ckpt.json"))
-    });
-
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
-    for msg in take_env_anomalies() {
-        log.record(&name, 0, 0, &msg);
-    }
-    let mut stale_engine = false;
-    let (mut completed, mut classes) = match ckpt_path.as_deref().map(|p| {
-        load_arch_checkpoint(
-            p,
-            "plain",
-            engine,
-            &mix_tag,
-            workload.name,
-            &scheme_label,
-            seed,
-            campaign.fuel,
-            trials,
-        )
-    }) {
-        Some(ArchCheckpoint::Resumable(completed, classes, _)) => (completed, classes),
-        Some(ArchCheckpoint::StaleEngine { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint engine \"{found}\" is incompatible with \
-                     \"{engine}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default())
-        }
-        Some(ArchCheckpoint::StaleFaultMix { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint fault mix \"{found}\" is incompatible with \
-                     \"{mix_tag}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default())
-        }
-        Some(ArchCheckpoint::Mismatch) | None => (0, FaultClassTallies::default()),
-    };
-
-    let save = |completed: u64, classes: &FaultClassTallies| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(
-                p,
-                &arch_checkpoint_json(
-                    "plain",
-                    engine,
-                    &mix_tag,
-                    workload.name,
-                    &scheme_label,
-                    seed,
-                    campaign.fuel,
-                    trials,
-                    completed,
-                    classes,
-                    &RecoveryStats::default(),
-                ),
-            );
-        }
-    };
-
-    let mut done_this_run = 0u64;
-    while completed < trials {
-        if ck.stop_after == Some(done_this_run) {
-            save(completed, &classes);
-            return Ok(CampaignRun {
-                outcomes: classes.aggregate(),
-                classes,
-                completed,
-                finished: false,
-                anomalies: log.count,
-                stale_engine,
-            });
-        }
-        let (class, outcome) = contain(ck.max_retries, |salt| {
-            campaign.run_trial_classed_salted(completed, salt)
-        })
-        .unwrap_or_else(|panic_msg| {
-            log.record(&name, completed, ck.max_retries, &panic_msg);
-            // Attribute the contained crash to the salt-0 draw's class —
-            // the deterministic one a re-run would see first.
-            (
-                campaign.trial_fault_salted(completed, 0).class,
-                TrialOutcome::Crash,
-            )
-        });
-        classes.record(class, outcome);
-        completed += 1;
-        done_this_run += 1;
-        if ck.interval > 0 && completed % ck.interval == 0 {
-            save(completed, &classes);
-        }
-    }
-    save(completed, &classes);
-    Ok(CampaignRun {
-        outcomes: classes.aggregate(),
-        classes,
-        completed,
-        finished: true,
-        anomalies: log.count,
-        stale_engine,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Shard driver for the campaign service
-// ---------------------------------------------------------------------------
 
 /// A contiguous trial range `[start, end)` of one campaign cell, owned by
 /// exactly one worker at a time. Because trials are pure in
@@ -948,287 +682,380 @@ pub struct ShardRun {
     pub anomalies: u64,
 }
 
-fn shard_checkpoint_json(
-    identity: &ShardIdentity<'_>,
-    shard: &ShardSpec,
-    cursor: u64,
-    classes: &FaultClassTallies,
-) -> String {
+// ---------------------------------------------------------------------------
+// The arch checkpoint record
+// ---------------------------------------------------------------------------
+
+/// Schema version stamped into every checkpoint record as `"v":1`. A file
+/// with no version or another one is rejected loudly and the run restarts
+/// from its range start, so a format change can never be misparsed.
+const CHECKPOINT_VERSION: &str = "1";
+
+/// `Err` names why a parsed checkpoint's schema version is not ours.
+fn check_version(f: &[(String, String)]) -> Result<(), String> {
+    match field(f, "v") {
+        Some(CHECKPOINT_VERSION) => Ok(()),
+        v => Err(format!(
+            "checkpoint schema version {} is not {CHECKPOINT_VERSION}",
+            v.unwrap_or("(none)")
+        )),
+    }
+}
+
+/// Serialize one tally's ten buckets with a per-class key prefix
+/// (`""` for the aggregate, `"t_"`/`"c_"`/`"s_"` for the classes).
+fn outcome_fields(prefix: &str, t: &ArchOutcomes) -> String {
     format!(
-        "{{\"campaign\":\"arch-shard\",\"engine\":\"{}\",\"faultmix\":\"{}\",\
-         \"workload\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"fuel\":{},\
-         \"start\":{},\"end\":{},\"cursor\":{cursor},{},{},{},{}}}",
-        json_escape(identity.engine),
-        json_escape(identity.mix),
-        json_escape(identity.workload),
-        json_escape(identity.scheme),
-        identity.seed,
-        identity.fuel,
-        shard.start,
-        shard.end,
-        outcome_fields("", &classes.aggregate()),
-        outcome_fields("t_", &classes.transient),
-        outcome_fields("c_", &classes.control),
-        outcome_fields("s_", &classes.stuck_at),
+        "\"{prefix}trap\":{},\"{prefix}due\":{},\"{prefix}crash\":{},\"{prefix}hang\":{},\
+         \"{prefix}masked\":{},\"{prefix}sdc\":{},\"{prefix}rec_correct\":{},\
+         \"{prefix}rec_replay\":{},\"{prefix}rec_relaunch\":{},\"{prefix}miscorrected\":{}",
+        t.trap,
+        t.due,
+        t.crash,
+        t.hang,
+        t.masked,
+        t.sdc,
+        t.recovered_correct,
+        t.recovered_replay,
+        t.recovered_relaunch,
+        t.miscorrected
     )
 }
 
-/// The campaign-cell identity a shard checkpoint must match to be adopted.
-struct ShardIdentity<'a> {
-    engine: &'a str,
-    mix: &'a str,
+fn parse_outcome_fields(f: &[(String, String)], prefix: &str) -> Option<ArchOutcomes> {
+    let g = |k: &str| field_u64(f, &format!("{prefix}{k}"));
+    Some(ArchOutcomes {
+        trap: g("trap")?,
+        due: g("due")?,
+        crash: g("crash")?,
+        hang: g("hang")?,
+        masked: g("masked")?,
+        sdc: g("sdc")?,
+        recovered_correct: g("rec_correct")?,
+        recovered_replay: g("rec_replay")?,
+        recovered_relaunch: g("rec_relaunch")?,
+        miscorrected: g("miscorrected")?,
+    })
+}
+
+/// Which trial function a driver run executes.
+#[derive(Debug, Clone, Copy)]
+enum TrialKind<'r> {
+    /// Fast-forward trials; they report default recovery stats.
+    Plain,
+    /// Trials through the recovery ladder.
+    Recover(&'r RecoveryConfig),
+}
+
+impl TrialKind<'_> {
+    /// Run one trial; `None` when `cancel` cut it short (plain trials poll
+    /// the token at every issue boundary, recovery trials never do).
+    fn run(
+        self,
+        campaign: &ArchCampaign<'_>,
+        trial: u64,
+        salt: u32,
+        cancel: Option<&CancelToken>,
+    ) -> Option<(FaultClass, TrialOutcome, RecoveryStats)> {
+        match self {
+            TrialKind::Plain => campaign
+                .run_trial_classed_cancellable(trial, salt, cancel)
+                .map(|(class, outcome)| (class, outcome, RecoveryStats::default())),
+            TrialKind::Recover(rcfg) => {
+                let class = campaign.trial_fault_salted(trial, salt).class;
+                let t = campaign.run_trial_recovering_salted(trial, salt, rcfg);
+                Some((class, t.outcome, t.stats))
+            }
+        }
+    }
+}
+
+/// What a checkpoint record is stamped with. Mode, cell and range decide
+/// whether a record belongs to this run at all; engine and fault mix (and
+/// the schema version) decide whether it is resumable. The mode keeps a
+/// recovery run from resuming a plain run's tallies and vice versa: same
+/// trials, different bucket semantics.
+struct Identity<'a> {
+    mode: &'static str,
+    engine: &'static str,
+    mix: String,
     workload: &'a str,
-    scheme: &'a str,
+    scheme: String,
     seed: u64,
     fuel: u64,
+    start: u64,
+    end: u64,
 }
 
-/// Parse a shard checkpoint against this shard's identity and range.
-/// Anything that does not match exactly — foreign cell, different range,
-/// different engine or fault mix, torn file, cursor out of `[start, end]`,
-/// tallies disagreeing with the cursor — yields `None` and the shard
-/// restarts from `start`. Shard checkpoints are cheap to discard (one
-/// shard, not a whole campaign), so there is no stale-vs-mismatch split
-/// here; the service logs an anomaly whenever a file existed but did not
-/// adopt.
-fn load_shard_checkpoint(
-    path: &Path,
-    identity: &ShardIdentity<'_>,
-    shard: &ShardSpec,
-) -> Option<(u64, FaultClassTallies)> {
-    let text = fs::read_to_string(path).ok()?;
-    let f = parse_flat(&text)?;
-    if field(&f, "campaign")? != "arch-shard"
-        || field(&f, "engine")? != identity.engine
-        || field(&f, "faultmix")? != identity.mix
-        || field(&f, "workload")? != identity.workload
-        || field(&f, "scheme")? != identity.scheme
-        || field_u64(&f, "seed")? != identity.seed
-        || field_u64(&f, "fuel")? != identity.fuel
-        || field_u64(&f, "start")? != shard.start
-        || field_u64(&f, "end")? != shard.end
-    {
-        return None;
+impl<'a> Identity<'a> {
+    fn of(campaign: &'a ArchCampaign<'_>, kind: TrialKind<'_>, shard: &ShardSpec) -> Self {
+        let (mode, engine) = match kind {
+            TrialKind::Plain => ("plain", campaign.engine_tag()),
+            TrialKind::Recover(_) => ("recover", campaign.recovery_engine_tag()),
+        };
+        Self {
+            mode,
+            engine,
+            mix: campaign.mix().tag(),
+            workload: campaign.workload().name,
+            scheme: campaign.scheme().label(),
+            seed: campaign.seed(),
+            fuel: campaign.fuel,
+            start: shard.start,
+            end: shard.end,
+        }
     }
-    let cursor = field_u64(&f, "cursor")?;
-    let classes = FaultClassTallies {
-        transient: parse_outcome_fields(&f, "t_")?,
-        control: parse_outcome_fields(&f, "c_")?,
-        stuck_at: parse_outcome_fields(&f, "s_")?,
+}
+
+/// What a checkpoint record carries: trials `[start, cursor)` are done.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Progress {
+    cursor: u64,
+    classes: FaultClassTallies,
+    stats: RecoveryStats,
+}
+
+/// The one checkpoint record: a single line of flat JSON.
+fn checkpoint_json(id: &Identity<'_>, p: &Progress) -> String {
+    format!(
+        "{{\"v\":{CHECKPOINT_VERSION},\"campaign\":\"arch\",\"mode\":\"{}\",\"engine\":\"{}\",\
+         \"faultmix\":\"{}\",\"workload\":\"{}\",\"scheme\":\"{}\",\
+         \"seed\":{},\"fuel\":{},\"start\":{},\"end\":{},\"cursor\":{},\
+         {},{},{},{},\
+         \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
+        id.mode,
+        id.engine,
+        json_escape(&id.mix),
+        json_escape(id.workload),
+        json_escape(&id.scheme),
+        id.seed,
+        id.fuel,
+        id.start,
+        id.end,
+        p.cursor,
+        outcome_fields("", &p.classes.aggregate()),
+        outcome_fields("t_", &p.classes.transient),
+        outcome_fields("c_", &p.classes.control),
+        outcome_fields("s_", &p.classes.stuck_at),
+        p.stats.checkpoints,
+        p.stats.replays,
+        p.stats.replayed_instructions,
+        p.stats.corrections,
+        p.stats.relaunches
+    )
+}
+
+/// What a checkpoint file at a run's path turned out to be. One value
+/// exists per run, so boxing the large variant would buy nothing.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Loaded {
+    /// Ours: resume from this progress.
+    Resumable(Progress),
+    /// Describes this cell but was written under another schema version,
+    /// engine or fault mix, so its tallies are not comparable: restart
+    /// loudly. The string names the reason.
+    Stale(String),
+    /// Another cell's or range's record, or a torn file: restart.
+    Foreign,
+}
+
+/// Classify checkpoint text against `id`. The aggregate buckets are
+/// redundant with the class buckets, and the class buckets must account
+/// for exactly `cursor - start` trials; any disagreement means a torn or
+/// hand-edited file.
+fn load_checkpoint(text: &str, id: &Identity<'_>) -> Loaded {
+    let Some(f) = parse_flat(text) else {
+        return Loaded::Foreign;
     };
-    if parse_outcome_fields(&f, "")? != classes.aggregate() {
-        return None;
+    if let Err(reason) = check_version(&f) {
+        return Loaded::Stale(reason);
     }
-    (shard.start <= cursor && cursor <= shard.end && classes.total() == cursor - shard.start)
-        .then_some((cursor, classes))
+    let same_cell = || {
+        Some(
+            field(&f, "campaign")? == "arch"
+                && field(&f, "mode")? == id.mode
+                && field(&f, "workload")? == id.workload
+                && field(&f, "scheme")? == id.scheme
+                && field_u64(&f, "seed")? == id.seed
+                && field_u64(&f, "fuel")? == id.fuel
+                && field_u64(&f, "start")? == id.start
+                && field_u64(&f, "end")? == id.end,
+        )
+    };
+    if same_cell() != Some(true) {
+        return Loaded::Foreign;
+    }
+    for (key, what, ours) in [
+        ("engine", "engine", id.engine),
+        ("faultmix", "fault mix", &id.mix),
+    ] {
+        let found = field(&f, key).unwrap_or("");
+        if found != ours {
+            return Loaded::Stale(format!(
+                "checkpoint {what} \"{found}\" is incompatible with \"{ours}\""
+            ));
+        }
+    }
+    let progress = || {
+        let classes = FaultClassTallies {
+            transient: parse_outcome_fields(&f, "t_")?,
+            control: parse_outcome_fields(&f, "c_")?,
+            stuck_at: parse_outcome_fields(&f, "s_")?,
+        };
+        let p = Progress {
+            cursor: field_u64(&f, "cursor")?,
+            classes,
+            stats: RecoveryStats {
+                checkpoints: field_u64(&f, "ckpts")?,
+                replays: field_u64(&f, "replays")?,
+                replayed_instructions: field_u64(&f, "replayed")?,
+                corrections: field_u64(&f, "corrections")?,
+                relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
+            },
+        };
+        (parse_outcome_fields(&f, "")? == classes.aggregate()
+            && (id.start..=id.end).contains(&p.cursor)
+            && classes.total() == p.cursor - id.start)
+            .then_some(p)
+    };
+    progress().map_or(Loaded::Foreign, Loaded::Resumable)
 }
 
-/// Trials scheduled per epoch-batch window by the shard driver. Windows
-/// bound the reorder buffer (and how much executed work a cancellation can
-/// discard) while staying large enough that rung-sorting finds batch-mates
-/// to share a resume snapshot with. Scheduling-only: any window size yields
-/// byte-identical checkpoints and tallies.
-const SHARD_BATCH_WINDOW: u64 = 128;
+// ---------------------------------------------------------------------------
+// The in-order checkpoint driver
+// ---------------------------------------------------------------------------
 
-/// Run (or resume) one shard of an architecture-level campaign against an
-/// already-prepared [`ArchCampaign`], with panic containment, a per-shard
-/// anomaly log, periodic atomic checkpoints, and two distinct stop paths:
+/// How a driver invocation ended. Every stop but `Abandoned` flushes a
+/// checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Ran to the end of the range.
+    Finished,
+    /// The `stop_after` hook fired.
+    Interrupted,
+    /// A cancellation point was reached.
+    Cancelled,
+    /// [`ShardControl::Die`].
+    Abandoned,
+}
+
+/// What [`drive`] returns: where the run stopped and how.
+struct DriverRun {
+    progress: Progress,
+    stop: Stop,
+    stale: bool,
+    anomalies: u64,
+}
+
+/// The one arch-level checkpoint driver: run trials `[shard.start,
+/// shard.end)` of `campaign` in logical order, each under [`contain`],
+/// persisting a [`checkpoint_json`] record to `<slug(tag)>.ckpt.json`
+/// every `ck.interval` trials of this invocation and wherever it stops
+/// cleanly.
 ///
-/// * **cancellation** (`cancel` token, polled between trials *and* at every
-///   issue boundary inside a trial) flushes the checkpoint and returns with
-///   `cancelled` set — the in-flight trial is discarded untallied and
-///   re-runs in full on resume, preserving byte-identity;
-/// * **abandonment** ([`ShardControl::Die`] from `on_event`) returns
-///   immediately *without* flushing, modelling a worker lost mid-shard —
-///   the durable state is the last checkpoint's trusted prefix.
+/// * A record left by an earlier invocation is adopted
+///   ([`ShardEvent::Adopted`]) when [`load_checkpoint`] finds it
+///   resumable; any other existing file is logged and the run restarts
+///   from the range start — stale files also set [`DriverRun::stale`].
+/// * Trials whose retries all panic are logged under `shard.tag` and
+///   conservatively tallied as `Crash`, attributed to the salt-0 draw's
+///   class (the deterministic one a re-run would see first).
+/// * `cancel` is polled between trials and inside plain trials; either
+///   way the checkpoint is flushed and the in-flight trial re-runs in
+///   full on resume. `ck.stop_after` stops (flushed) at the loop head.
+///   [`ShardControl::Die`] from `on_event` returns without a flush.
 ///
-/// The caller observes every tallied trial through `on_event`, which is the
-/// service's delta stream into its merge-on-read aggregator.
-///
-/// Internally trials execute in epoch-batch order (windows of
-/// `SHARD_BATCH_WINDOW` trials, rung-sorted via
-/// [`ArchCampaign::plan_epoch_batches`]) and commit through a reorder
-/// buffer in logical order, so everything observable — events,
-/// checkpoints, tallies, anomaly lines — is byte-identical to a serial
-/// in-order driver.
-pub fn run_arch_shard_checkpointed(
+/// Because trials are pure in `(seed, index, salt)`, any sequence of
+/// interrupted invocations tallies byte-identically to one straight run.
+fn drive(
     campaign: &ArchCampaign<'_>,
+    kind: TrialKind<'_>,
     shard: &ShardSpec,
+    mut log: AnomalyLog,
     ck: &CheckpointConfig,
     cancel: Option<&CancelToken>,
     mut on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
-) -> ShardRun {
-    let engine = campaign.engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = campaign.scheme().label();
-    let identity = ShardIdentity {
-        engine,
-        mix: &mix_tag,
-        workload: campaign.workload().name,
-        scheme: &scheme_label,
-        seed: campaign.seed(),
-        fuel: campaign.fuel,
-    };
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{}.ckpt.json", slug(&shard.tag)))
-    });
-
-    let mut log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
+) -> DriverRun {
+    let id = Identity::of(campaign, kind, shard);
+    let name = shard.tag.as_str();
     for msg in take_env_anomalies() {
-        log.record(&shard.tag, 0, 0, &msg);
+        log.record(name, 0, 0, &msg);
     }
-
-    let mut cursor = shard.start;
-    let mut classes = FaultClassTallies::default();
-    if let Some(path) = ckpt_path.as_deref() {
-        if path.exists() {
-            match load_shard_checkpoint(path, &identity, shard) {
-                Some((c, t)) => {
-                    cursor = c;
-                    classes = t;
-                    if on_event(ShardEvent::Adopted {
-                        classes: &classes,
-                        cursor,
-                    }) == ShardControl::Die
-                    {
-                        return ShardRun {
-                            classes,
-                            cursor,
-                            finished: false,
-                            cancelled: false,
-                            abandoned: true,
-                            anomalies: log.count,
-                        };
-                    }
-                }
-                None => log.record(
-                    &shard.tag,
-                    0,
-                    0,
-                    "shard checkpoint did not match this shard's identity; \
-                     restarting from the shard start",
-                ),
-            }
-        }
-    }
-
-    let save = |cursor: u64, classes: &FaultClassTallies| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(p, &shard_checkpoint_json(&identity, shard, cursor, classes));
+    let path = ck.dir.as_ref().map(|d| {
+        let _ = fs::create_dir_all(d);
+        d.join(format!("{}.ckpt.json", slug(name)))
+    });
+    let save = |p: &Progress| {
+        if let Some(path) = &path {
+            let _ = write_atomic(path, &checkpoint_json(&id, p));
         }
     };
 
-    // Trials are *executed* in epoch-batch order (grouped by resume rung so
-    // batch-mates share one `Arc`'d base snapshot, hot in cache) but
-    // *committed* — tallied, streamed through `on_event`, checkpointed —
-    // strictly in logical trial order through a reorder buffer. Every
-    // durable artifact (checkpoint files, event stream, anomaly log lines)
-    // is therefore byte-identical to the serial reference: the commit loop
-    // below replays the serial loop's exact cancel/stop/Die decision points,
-    // and trial purity in `(seed, trial, salt)` means any result discarded
-    // uncommitted is reproduced identically on resume.
-    let mut done_this_run = 0u64;
-    while cursor < shard.end {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            save(cursor, &classes);
-            return ShardRun {
-                classes,
-                cursor,
-                finished: false,
-                cancelled: true,
-                abandoned: false,
-                anomalies: log.count,
-            };
-        }
-        if ck.stop_after == Some(done_this_run) {
-            save(cursor, &classes);
-            return ShardRun {
-                classes,
-                cursor,
-                finished: false,
-                cancelled: false,
-                abandoned: false,
-                anomalies: log.count,
-            };
-        }
-        // One scheduling window. Capping at `stop_after`'s remainder keeps
-        // the serial invariant that the stop check only ever fires at the
-        // loop head: the window never executes a trial the serial loop
-        // would not have reached.
-        let mut window = SHARD_BATCH_WINDOW.min(shard.end - cursor);
-        if let Some(stop) = ck.stop_after {
-            window = window.min(stop - done_this_run);
-        }
-        let win_end = cursor + window;
-        let mut buf: Vec<Option<Result<(FaultClass, TrialOutcome), String>>> =
-            vec![None; window as usize];
-        'execute: for batch in campaign.plan_epoch_batches(cursor, win_end) {
-            for trial in batch {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    break 'execute;
-                }
-                let ran = contain(ck.max_retries, |salt| match cancel {
-                    Some(token) => campaign.run_trial_classed_cancellable(trial, salt, token),
-                    None => Some(campaign.run_trial_classed_salted(trial, salt)),
-                });
-                buf[(trial - cursor) as usize] = match ran {
-                    Ok(Some(pair)) => Some(Ok(pair)),
-                    // Cancelled mid-trial: leave the slot empty; the commit
-                    // loop flushes the contiguous logical prefix and the
-                    // trial re-runs in full on resume.
-                    Ok(None) => break 'execute,
-                    Err(panic_msg) => Some(Err(panic_msg)),
-                };
+    let mut p = Progress {
+        cursor: shard.start,
+        ..Progress::default()
+    };
+    let mut stale = false;
+    let mut adopted = false;
+    if let Some(text) = path.as_deref().and_then(|p| fs::read_to_string(p).ok()) {
+        let restart = |why: &str| format!("{why}; restarting from trial {}", shard.start);
+        match load_checkpoint(&text, &id) {
+            Loaded::Resumable(found) => {
+                p = found;
+                adopted = true;
             }
+            Loaded::Stale(reason) => {
+                stale = true;
+                log.record(name, 0, 0, &restart(&reason));
+            }
+            Loaded::Foreign => log.record(
+                name,
+                0,
+                0,
+                &restart("checkpoint belongs to another campaign cell or range"),
+            ),
         }
-        for slot in buf {
-            // Replay of the serial loop head: poll cancellation before
-            // *each* commit, so a token fired from an `on_event` callback
-            // stops the cursor exactly where the serial driver would —
-            // executed-but-uncommitted batch results are discarded.
+    }
+
+    let stop = 'run: {
+        if adopted
+            && on_event(ShardEvent::Adopted {
+                classes: &p.classes,
+                cursor: p.cursor,
+            }) == ShardControl::Die
+        {
+            break 'run Stop::Abandoned;
+        }
+        let mut done_this_run = 0u64;
+        loop {
+            if p.cursor >= shard.end {
+                break 'run Stop::Finished;
+            }
             if cancel.is_some_and(CancelToken::is_cancelled) {
-                save(cursor, &classes);
-                return ShardRun {
-                    classes,
-                    cursor,
-                    finished: false,
-                    cancelled: true,
-                    abandoned: false,
-                    anomalies: log.count,
-                };
+                break 'run Stop::Cancelled;
             }
-            let trial = cursor;
-            let (class, outcome) = match slot {
-                Some(Ok(pair)) => pair,
-                Some(Err(panic_msg)) => {
-                    // Anomalies are logged at commit time, not execution
-                    // time, so the log's line order matches the serial run.
-                    log.record(&shard.tag, trial, ck.max_retries, &panic_msg);
-                    // Attribute the contained crash to the salt-0 draw's
-                    // class — the deterministic one a re-run would see
-                    // first.
+            if ck.stop_after == Some(done_this_run) {
+                break 'run Stop::Interrupted;
+            }
+            let trial = p.cursor;
+            let (class, outcome, stats) = match contain(ck.max_retries, |salt| {
+                kind.run(campaign, trial, salt, cancel)
+            }) {
+                Ok(Some(ran)) => ran,
+                Ok(None) => break 'run Stop::Cancelled,
+                Err(panic_msg) => {
+                    log.record(name, trial, ck.max_retries, &panic_msg);
                     (
                         campaign.trial_fault_salted(trial, 0).class,
                         TrialOutcome::Crash,
+                        RecoveryStats::default(),
                     )
                 }
-                // Execution was cut short by cancellation before this
-                // logical trial completed.
-                None => {
-                    save(cursor, &classes);
-                    return ShardRun {
-                        classes,
-                        cursor,
-                        finished: false,
-                        cancelled: true,
-                        abandoned: false,
-                        anomalies: log.count,
-                    };
-                }
             };
-            classes.record(class, outcome);
-            cursor += 1;
+            p.classes.record(class, outcome);
+            p.stats.merge(&stats);
+            p.cursor += 1;
             done_this_run += 1;
             if on_event(ShardEvent::Trial {
                 trial,
@@ -1236,65 +1063,85 @@ pub fn run_arch_shard_checkpointed(
                 outcome,
             }) == ShardControl::Die
             {
-                return ShardRun {
-                    classes,
-                    cursor,
-                    finished: false,
-                    cancelled: false,
-                    abandoned: true,
-                    anomalies: log.count,
-                };
+                break 'run Stop::Abandoned;
             }
             if ck.interval > 0 && done_this_run.is_multiple_of(ck.interval) {
-                save(cursor, &classes);
-                if on_event(ShardEvent::Checkpointed { cursor }) == ShardControl::Die {
-                    return ShardRun {
-                        classes,
-                        cursor,
-                        finished: false,
-                        cancelled: false,
-                        abandoned: true,
-                        anomalies: log.count,
-                    };
+                save(&p);
+                if on_event(ShardEvent::Checkpointed { cursor: p.cursor }) == ShardControl::Die {
+                    break 'run Stop::Abandoned;
                 }
             }
         }
+    };
+    if stop != Stop::Abandoned {
+        save(&p);
     }
-    save(cursor, &classes);
-    ShardRun {
-        classes,
-        cursor,
-        finished: true,
-        cancelled: false,
-        abandoned: false,
+    DriverRun {
+        progress: p,
+        stop,
+        stale,
         anomalies: log.count,
     }
 }
 
-/// Progress of a checkpointed detect-and-recover campaign invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryCampaignRun {
-    /// Aggregate tallies over every completed trial (resumed + this
-    /// invocation), including the `recovered_*`/`miscorrected` buckets.
-    pub outcomes: ArchOutcomes,
-    /// The same tallies split by fault class.
-    pub classes: FaultClassTallies,
-    /// Recovery work summed over every completed trial.
-    pub stats: RecoveryStats,
-    /// Trials completed so far.
-    pub completed: u64,
-    /// Whether the campaign ran to its trial target.
-    pub finished: bool,
-    /// Unrecoverable items logged during this invocation.
-    pub anomalies: u64,
-    /// A matching checkpoint from a different trial engine was rejected and
-    /// the campaign restarted from trial 0 (see [`CampaignRun::stale_engine`]).
-    pub stale_engine: bool,
+/// Run a whole campaign `[0, trials)` through [`drive`] under the name
+/// `<prefix>-<workload>-<scheme>`, logging to `anomalies.jsonl`.
+fn drive_campaign(
+    campaign: &ArchCampaign<'_>,
+    kind: TrialKind<'_>,
+    prefix: &str,
+    trials: u64,
+    ck: &CheckpointConfig,
+) -> DriverRun {
+    let whole = ShardSpec {
+        tag: format!(
+            "{prefix}-{}-{}",
+            slug(campaign.workload().name),
+            slug(&campaign.scheme().label())
+        ),
+        start: 0,
+        end: trials,
+    };
+    let log = AnomalyLog::new(ck.dir.as_deref());
+    drive(campaign, kind, &whole, log, ck, None, |_| {
+        ShardControl::Continue
+    })
+}
+
+/// Run (or resume) an architecture-level campaign with panic containment,
+/// anomaly logging and periodic atomic checkpoints
+/// (`arch-<workload>-<scheme>.ckpt.json`).
+///
+/// Because trials are pure in `(seed, index)`, a resumed campaign tallies
+/// byte-identically to an uninterrupted one. Unrecoverable trials are
+/// logged and conservatively counted as `crash`.
+///
+/// # Errors
+///
+/// Propagates [`PrepError`] when the campaign cannot start at all.
+pub fn run_arch_campaign_checkpointed(
+    workload: &Workload,
+    scheme: Scheme,
+    trials: u64,
+    seed: u64,
+    ck: &CheckpointConfig,
+) -> Result<CampaignRun, PrepError> {
+    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
+    let run = drive_campaign(&campaign, TrialKind::Plain, "arch", trials, ck);
+    Ok(CampaignRun {
+        outcomes: run.progress.classes.aggregate(),
+        classes: run.progress.classes,
+        completed: run.progress.cursor,
+        finished: run.stop == Stop::Finished,
+        anomalies: run.anomalies,
+        stale_engine: run.stale,
+    })
 }
 
 /// Run (or resume) a detect-and-recover campaign with panic containment,
-/// anomaly logging and periodic atomic checkpoints — the recovery analogue
-/// of [`run_arch_campaign_checkpointed`], persisting the recovery-stat
+/// anomaly logging and periodic atomic checkpoints
+/// (`recover-<workload>-<scheme>.ckpt.json`) — the recovery analogue of
+/// [`run_arch_campaign_checkpointed`], persisting the recovery-stat
 /// counters alongside the tallies so overhead accounting survives a crash.
 ///
 /// Trials remain pure in `(seed, index)` (the ladder adds no randomness),
@@ -1312,131 +1159,52 @@ pub fn run_recovery_campaign_checkpointed(
     ck: &CheckpointConfig,
 ) -> Result<RecoveryCampaignRun, PrepError> {
     let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let engine = campaign.recovery_engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = scheme.label();
-    let name = format!("recover-{}-{}", slug(workload.name), slug(&scheme_label));
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{name}.ckpt.json"))
-    });
-
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
-    for msg in take_env_anomalies() {
-        log.record(&name, 0, 0, &msg);
-    }
-    let mut stale_engine = false;
-    let (mut completed, mut classes, mut stats) = match ckpt_path.as_deref().map(|p| {
-        load_arch_checkpoint(
-            p,
-            "recover",
-            engine,
-            &mix_tag,
-            workload.name,
-            &scheme_label,
-            seed,
-            campaign.fuel,
-            trials,
-        )
-    }) {
-        Some(ArchCheckpoint::Resumable(completed, classes, stats)) => (completed, classes, stats),
-        Some(ArchCheckpoint::StaleEngine { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint engine \"{found}\" is incompatible with \
-                     \"{engine}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-        Some(ArchCheckpoint::StaleFaultMix { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint fault mix \"{found}\" is incompatible with \
-                     \"{mix_tag}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-        Some(ArchCheckpoint::Mismatch) | None => {
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-    };
-
-    let save = |completed: u64, classes: &FaultClassTallies, stats: &RecoveryStats| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(
-                p,
-                &arch_checkpoint_json(
-                    "recover",
-                    engine,
-                    &mix_tag,
-                    workload.name,
-                    &scheme_label,
-                    seed,
-                    campaign.fuel,
-                    trials,
-                    completed,
-                    classes,
-                    stats,
-                ),
-            );
-        }
-    };
-
-    let mut done_this_run = 0u64;
-    while completed < trials {
-        if ck.stop_after == Some(done_this_run) {
-            save(completed, &classes, &stats);
-            return Ok(RecoveryCampaignRun {
-                outcomes: classes.aggregate(),
-                classes,
-                stats,
-                completed,
-                finished: false,
-                anomalies: log.count,
-                stale_engine,
-            });
-        }
-        let (class, trial) = contain(ck.max_retries, |salt| {
-            campaign.run_trial_recovering_classed_salted(completed, salt, &rcfg.recovery)
-        })
-        .unwrap_or_else(|panic_msg| {
-            log.record(&name, completed, ck.max_retries, &panic_msg);
-            (
-                campaign.trial_fault_salted(completed, 0).class,
-                crate::arch::RecoveredTrial {
-                    outcome: TrialOutcome::Crash,
-                    stats: RecoveryStats::default(),
-                },
-            )
-        });
-        classes.record(class, trial.outcome);
-        stats.merge(&trial.stats);
-        completed += 1;
-        done_this_run += 1;
-        if ck.interval > 0 && completed % ck.interval == 0 {
-            save(completed, &classes, &stats);
-        }
-    }
-    save(completed, &classes, &stats);
+    let kind = TrialKind::Recover(&rcfg.recovery);
+    let run = drive_campaign(&campaign, kind, "recover", trials, ck);
     Ok(RecoveryCampaignRun {
-        outcomes: classes.aggregate(),
-        classes,
-        stats,
-        completed,
-        finished: true,
-        anomalies: log.count,
-        stale_engine,
+        outcomes: run.progress.classes.aggregate(),
+        classes: run.progress.classes,
+        stats: run.progress.stats,
+        completed: run.progress.cursor,
+        finished: run.stop == Stop::Finished,
+        anomalies: run.anomalies,
+        stale_engine: run.stale,
     })
+}
+
+/// Run (or resume) one shard of an architecture-level campaign against an
+/// already-prepared [`ArchCampaign`], with panic containment, a per-shard
+/// anomaly log, periodic atomic checkpoints (`<slug(tag)>.ckpt.json`), and
+/// two distinct stop paths:
+///
+/// * **cancellation** (`cancel` token, polled between trials *and* at every
+///   issue boundary inside a trial) flushes the checkpoint and returns with
+///   `cancelled` set — the in-flight trial is discarded untallied and
+///   re-runs in full on resume, preserving byte-identity;
+/// * **abandonment** ([`ShardControl::Die`] from `on_event`) returns
+///   immediately *without* flushing, modelling a worker lost mid-shard —
+///   the durable state is the last checkpoint's trusted prefix.
+///
+/// The caller observes every tallied trial, in logical order, through
+/// `on_event`, which is the service's delta stream into its merge-on-read
+/// aggregator.
+pub fn run_arch_shard_checkpointed(
+    campaign: &ArchCampaign<'_>,
+    shard: &ShardSpec,
+    ck: &CheckpointConfig,
+    cancel: Option<&CancelToken>,
+    on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
+) -> ShardRun {
+    let log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
+    let run = drive(campaign, TrialKind::Plain, shard, log, ck, cancel, on_event);
+    ShardRun {
+        classes: run.progress.classes,
+        cursor: run.progress.cursor,
+        finished: run.stop == Stop::Finished,
+        cancelled: run.stop == Stop::Cancelled,
+        abandoned: run.stop == Stop::Abandoned,
+        anomalies: run.anomalies,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1458,8 +1226,8 @@ pub struct UnitCampaignRun {
 
 fn unit_checkpoint_json(unit: &str, seed: u64, inputs: u64, completed: u64) -> String {
     format!(
-        "{{\"campaign\":\"unit\",\"unit\":\"{}\",\"seed\":{seed},\"inputs\":{inputs},\
-         \"completed\":{completed}}}",
+        "{{\"v\":{CHECKPOINT_VERSION},\"campaign\":\"unit\",\"unit\":\"{}\",\"seed\":{seed},\
+         \"inputs\":{inputs},\"completed\":{completed}}}",
         json_escape(unit)
     )
 }
@@ -1554,8 +1322,10 @@ pub fn run_unit_campaign_checkpointed(
         )
     });
 
-    // Resume: trust the checkpoint only when its identity matches and the
-    // sidecar actually contains the full completed prefix.
+    // Resume: trust the checkpoint only when its schema version and
+    // identity match and the sidecar actually contains the full completed
+    // prefix. A version mismatch restarts loudly.
+    let mut log = AnomalyLog::new(ck.dir.as_deref());
     let mut outcomes: Vec<InputOutcome> = Vec::with_capacity(inputs.len());
     let mut completed = 0u64;
     if let Some((ckpt, records)) = &paths {
@@ -1563,6 +1333,10 @@ pub fn run_unit_campaign_checkpointed(
             .ok()
             .and_then(|text| {
                 let f = parse_flat(&text)?;
+                if let Err(reason) = check_version(&f) {
+                    log.record(&name, 0, 0, &format!("{reason}; restarting from input 0"));
+                    return None;
+                }
                 (field(&f, "campaign")? == "unit"
                     && field(&f, "unit")? == label
                     && field_u64(&f, "seed")? == cfg.seed
@@ -1577,7 +1351,6 @@ pub fn run_unit_campaign_checkpointed(
         }
     }
 
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
     let append_and_checkpoint = |chunk: &[InputOutcome], completed: u64| {
         if let Some((ckpt, records)) = &paths {
             let mut lines = String::new();
@@ -1667,6 +1440,8 @@ pub fn run_unit_campaign_checkpointed(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -1727,6 +1502,20 @@ mod tests {
         assert_eq!(out, Err("boom 1".to_owned()));
     }
 
+    fn identity(mode: &'static str, engine: &'static str, mix: &str) -> Identity<'static> {
+        Identity {
+            mode,
+            engine,
+            mix: mix.to_owned(),
+            workload: "bfs",
+            scheme: "Swap-ECC".to_owned(),
+            seed: 9,
+            fuel: 1000,
+            start: 0,
+            end: 100,
+        }
+    }
+
     #[test]
     fn flat_json_roundtrips() {
         let classes = FaultClassTallies {
@@ -1753,207 +1542,193 @@ mod tests {
                 ..ArchOutcomes::default()
             },
         };
-        let rs = RecoveryStats {
-            checkpoints: 11,
-            replays: 12,
-            replayed_instructions: 13,
-            corrections: 14,
-            relaunches: 15,
+        let p = Progress {
+            cursor: classes.total(),
+            classes,
+            stats: RecoveryStats {
+                checkpoints: 11,
+                replays: 12,
+                replayed_instructions: 13,
+                corrections: 14,
+                relaunches: 15,
+            },
         };
-        let line = arch_checkpoint_json(
-            "recover",
-            ENGINE_CLASSIC,
-            "t1c1s1",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            100,
-            80,
-            &classes,
-            &rs,
-        );
+        let id = identity("recover", "classicp", "t1c1s1");
+        let line = checkpoint_json(&id, &p);
         let f = parse_flat(&line).expect("parses");
+        assert_eq!(field(&f, "v"), Some("1"));
         assert_eq!(field(&f, "mode"), Some("recover"));
-        assert_eq!(field(&f, "engine"), Some("classic"));
+        assert_eq!(field(&f, "engine"), Some("classicp"));
         assert_eq!(field(&f, "faultmix"), Some("t1c1s1"));
         assert_eq!(field(&f, "workload"), Some("bfs"));
         assert_eq!(field(&f, "scheme"), Some("Swap-ECC"));
-        assert_eq!(field_u64(&f, "completed"), Some(80));
         // Aggregate fields merge the classes; per-class fields round-trip.
         assert_eq!(field_u64(&f, "hang"), Some(21));
         assert_eq!(field_u64(&f, "due"), Some(13));
         assert_eq!(field_u64(&f, "t_rec_replay"), Some(8));
         assert_eq!(field_u64(&f, "c_hang"), Some(17));
         assert_eq!(field_u64(&f, "s_due"), Some(11));
-        assert_eq!(field_u64(&f, "miscorrected"), Some(1));
         assert_eq!(field_u64(&f, "replayed"), Some(13));
-        assert_eq!(parse_outcome_fields(&f, "t_"), Some(classes.transient));
-        assert_eq!(parse_outcome_fields(&f, "c_"), Some(classes.control));
-        assert_eq!(parse_outcome_fields(&f, "s_"), Some(classes.stuck_at));
-        assert_eq!(parse_outcome_fields(&f, ""), Some(classes.aggregate()));
+        match load_checkpoint(&line, &id) {
+            Loaded::Resumable(back) => assert_eq!(back, p),
+            other => panic!("own record must resume, got {other:?}"),
+        }
+        // Tallies that disagree with the cursor mean a torn file.
+        let torn = checkpoint_json(&id, &Progress { cursor: 3, ..p });
+        assert!(matches!(load_checkpoint(&torn, &id), Loaded::Foreign));
     }
 
-    fn masked_classes(n: u64) -> FaultClassTallies {
-        FaultClassTallies {
-            transient: ArchOutcomes {
-                masked: n,
-                ..ArchOutcomes::default()
+    fn masked_progress(n: u64) -> Progress {
+        Progress {
+            cursor: n,
+            classes: FaultClassTallies {
+                transient: ArchOutcomes {
+                    masked: n,
+                    ..ArchOutcomes::default()
+                },
+                ..FaultClassTallies::default()
             },
-            ..FaultClassTallies::default()
+            stats: RecoveryStats::default(),
         }
     }
 
     #[test]
     fn mode_mismatch_rejects_checkpoint() {
-        let line = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        );
-        let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-mode-{}.ckpt.json",
-            std::process::id()
-        ));
-        write_atomic(&path, &line).expect("write");
+        let line = checkpoint_json(&identity("plain", "ff2p", "t1c0s0"), &masked_progress(3));
         // A recovery campaign must not resume a plain campaign's tallies.
         assert!(matches!(
-            load_arch_checkpoint(
-                &path,
-                "recover",
-                ENGINE_CLASSIC,
-                "t1c0s0",
-                "bfs",
-                "Swap-ECC",
-                9,
-                1000,
-                40
-            ),
-            ArchCheckpoint::Mismatch
+            load_checkpoint(&line, &identity("recover", "classicp", "t1c0s0")),
+            Loaded::Foreign
         ));
         assert!(matches!(
-            load_arch_checkpoint(
-                &path,
-                "plain",
-                ENGINE_FAST_FORWARD,
-                "t1c0s0",
-                "bfs",
-                "Swap-ECC",
-                9,
-                1000,
-                40
-            ),
-            ArchCheckpoint::Resumable(3, _, _)
+            load_checkpoint(&line, &identity("plain", "ff2p", "t1c0s0")),
+            Loaded::Resumable(Progress { cursor: 3, .. })
         ));
-        let _ = fs::remove_file(&path);
+        // Neither may a shard of another range.
+        let other_range = Identity {
+            start: 1,
+            ..identity("plain", "ff2p", "t1c0s0")
+        };
+        assert!(matches!(
+            load_checkpoint(&line, &other_range),
+            Loaded::Foreign
+        ));
     }
 
     #[test]
     fn engine_mismatch_is_stale_not_ignored() {
-        // A checkpoint written by the pre-fast-forward code has no engine
-        // field at all; one written by a future engine has a different tag.
-        // Both describe *this* campaign, so both must surface as StaleEngine
-        // rather than being silently ignored or resumed.
-        let untagged = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        )
-        .replace(&format!("\"engine\":\"{ENGINE_FAST_FORWARD}\","), "");
-        let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-engine-{}.ckpt.json",
-            std::process::id()
-        ));
-        write_atomic(&path, &untagged).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
-            ArchCheckpoint::StaleEngine { found } => assert_eq!(found, ""),
-            _ => panic!("untagged checkpoint must be stale"),
+        // A checkpoint with no engine field at all, or a different tag,
+        // describes *this* campaign, so it must surface as stale rather
+        // than being silently ignored or resumed.
+        let id = identity("plain", "ff2p", "t1c0s0");
+        let line = checkpoint_json(&id, &masked_progress(3));
+        for stale in [
+            line.replace("\"engine\":\"ff2p\",", ""),
+            line.replace("\"engine\":\"ff2p\"", "\"engine\":\"ff1\""),
+        ] {
+            match load_checkpoint(&stale, &id) {
+                Loaded::Stale(reason) => assert!(reason.contains("engine"), "{reason}"),
+                other => panic!("engine mismatch must be stale, got {other:?}"),
+            }
         }
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn fault_mix_mismatch_is_stale_not_ignored() {
         // Same campaign identity and engine, but the tallies were drawn
-        // under a different class mix: per-trial draws differ, so the
-        // checkpoint must be rejected loudly (not resumed, not silently
-        // ignored). A pre-taxonomy checkpoint with no faultmix field at all
-        // gets the same treatment.
-        let line = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c1s1",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        );
-        let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-mix-{}.ckpt.json",
-            std::process::id()
-        ));
-        write_atomic(&path, &line).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
-            ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, "t1c1s1"),
-            other => panic!("mix mismatch must be StaleFaultMix, got {other:?}"),
+        // under a different class mix (or predate mix tagging): per-trial
+        // draws differ, so the checkpoint must be rejected loudly.
+        let line = checkpoint_json(&identity("plain", "ff2p", "t1c1s1"), &masked_progress(3));
+        let id = identity("plain", "ff2p", "t1c0s0");
+        for stale in [line.clone(), line.replace("\"faultmix\":\"t1c1s1\",", "")] {
+            match load_checkpoint(&stale, &id) {
+                Loaded::Stale(reason) => assert!(reason.contains("fault mix"), "{reason}"),
+                other => panic!("mix mismatch must be stale, got {other:?}"),
+            }
         }
-        let unmixed = line.replace("\"faultmix\":\"t1c1s1\",", "");
-        write_atomic(&path, &unmixed).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
-            ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, ""),
-            other => panic!("pre-taxonomy checkpoint must be StaleFaultMix, got {other:?}"),
+    }
+
+    #[test]
+    fn missing_or_other_schema_version_is_stale() {
+        let id = identity("plain", "ff2p", "t1c0s0");
+        let line = checkpoint_json(&id, &masked_progress(3));
+        for stale in [
+            line.replace("\"v\":1,", ""),
+            line.replace("\"v\":1,", "\"v\":2,"),
+        ] {
+            match load_checkpoint(&stale, &id) {
+                Loaded::Stale(reason) => assert!(reason.contains("version"), "{reason}"),
+                other => panic!("version mismatch must be stale, got {other:?}"),
+            }
         }
-        let _ = fs::remove_file(&path);
+    }
+
+    /// Characters that break hand-rolled JSON codecs: quotes, backslashes,
+    /// control characters, the flat format's own delimiters, and
+    /// multi-byte UTF-8.
+    const HOSTILE: [char; 22] = [
+        '"', '\\', ',', '{', '}', ':', '\n', '\r', '\t', ' ', '\u{0}', '\u{1}', '\u{8}', '\u{c}',
+        '\u{1b}', '\u{1f}', '\u{7f}', 'a', 'é', '€', '😀', '\u{2028}',
+    ];
+
+    /// Strings of up to 32 characters, each a [`HOSTILE`] one or (half the
+    /// time) an arbitrary Unicode scalar value.
+    fn adversarial_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0..HOSTILE.len() * 2, any::<u32>()), 0..32).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(i, raw)| {
+                    HOSTILE.get(i).copied().unwrap_or_else(|| {
+                        char::from_u32(raw % 0x11_0000).unwrap_or(char::REPLACEMENT_CHARACTER)
+                    })
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Everything `json_escape` emits, `parse_flat` decodes: the string
+        /// fields of a checkpoint record and of an anomaly line (whose
+        /// `panic` field carries multi-line `assert_eq!` messages) survive
+        /// a write/parse round trip unchanged.
+        #[test]
+        fn flat_json_string_fields_roundtrip(
+            workload in adversarial_string(),
+            scheme in adversarial_string(),
+            mix in adversarial_string(),
+            panic_msg in adversarial_string(),
+        ) {
+            let id = Identity {
+                mode: "plain",
+                engine: "ff2p",
+                mix: mix.clone(),
+                workload: &workload,
+                scheme: scheme.clone(),
+                seed: 9,
+                fuel: 1000,
+                start: 5,
+                end: 40,
+            };
+            let p = Progress { cursor: 8, ..masked_progress(3) };
+            let line = checkpoint_json(&id, &p);
+            let f = parse_flat(&line).expect("record parses");
+            prop_assert_eq!(field(&f, "workload"), Some(workload.as_str()));
+            prop_assert_eq!(field(&f, "scheme"), Some(scheme.as_str()));
+            prop_assert_eq!(field(&f, "faultmix"), Some(mix.as_str()));
+            prop_assert!(
+                matches!(load_checkpoint(&line, &id), Loaded::Resumable(back) if back == p),
+                "record does not resume: {}", line
+            );
+
+            let line = anomaly_line(&workload, 7, 3, &panic_msg);
+            prop_assert!(line.ends_with('\n') && line.lines().count() == 1);
+            let f = parse_flat(&line).expect("anomaly line parses");
+            prop_assert_eq!(field(&f, "campaign"), Some(workload.as_str()));
+            prop_assert_eq!(field_u64(&f, "item"), Some(7));
+            prop_assert_eq!(field(&f, "panic"), Some(panic_msg.as_str()));
+        }
     }
 
     #[test]

@@ -168,14 +168,12 @@ fn cancelled_shard_flushes_checkpoint_and_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Worker loss in the middle of an epoch-batch window. The driver executes
-/// trials rung-sorted into a reorder buffer, so at any commit point the
-/// buffer usually holds executed-but-uncommitted results for *later*
-/// logical trials; a `stop_after` cut and then an abrupt `Die` both land
-/// mid-window here, discarding that buffered work. The discarded trials
-/// must re-run on resume with byte-identical results, the Trial event
-/// stream must stay in logical order across every attempt, and the final
-/// tallies must match the serial reference exactly.
+/// Worker loss between checkpoints. A `stop_after` cut flushes a
+/// checkpoint mid-shard; the next attempt adopts it and then dies abruptly
+/// between interval checkpoints, so the trials it ran are lost. They must
+/// re-run on the third attempt with byte-identical results, the Trial
+/// event stream must stay in logical order across every attempt, and the
+/// final tallies must match the serial reference exactly.
 #[test]
 fn mid_epoch_batch_kill_and_stop_resume_byte_identically() {
     let c = campaign("hspot", Scheme::SwapEcc, 0xBA7C4);
