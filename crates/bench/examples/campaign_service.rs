@@ -14,7 +14,11 @@
 //! `.chaos.requeued >= 1` (workers actually died and were requeued) and
 //! `.chaos.tallies_match_reference == true` (loss recovery is invisible in
 //! the results). Recovery latency (loss detection to replacement lease) is
-//! reported alongside.
+//! reported alongside, and so are the prepared-campaign cache counters:
+//! `.clean.prepare_fills == .config.cells` and `.chaos.prepare_fills ==
+//! .config.cells` gate that every cell is prepared exactly once — by one
+//! worker while others lease its adjacent shards, and never again when a
+//! killed shard is re-leased on the warm cache.
 //!
 //! `SWAPCODES_FAST=1` shrinks trial counts for CI smoke runs.
 
@@ -54,6 +58,8 @@ struct PassResult {
     recoveries: u64,
     recovery_latency_ms_max: u64,
     recovery_latency_ms_mean: f64,
+    prepare_fills: u64,
+    prepare_hits: u64,
     tallies_match_reference: bool,
 }
 
@@ -105,6 +111,8 @@ fn run_pass(spec: &str, cfg: ServiceConfig) -> PassResult {
         recoveries: m.recoveries,
         recovery_latency_ms_max: m.recovery_latency_ms_max,
         recovery_latency_ms_mean: m.recovery_latency_ms_mean,
+        prepare_fills: m.prepare_fills,
+        prepare_hits: m.prepare_hits,
         tallies_match_reference: tallies_match,
     }
 }
@@ -113,7 +121,8 @@ fn pass_json(p: &PassResult, extra: &str) -> String {
     format!(
         "{{{extra}\"state\": \"{}\", \"elapsed_ms\": {}, \"trials_per_sec\": {:.2}, \
          \"requeued\": {}, \"recoveries\": {}, \"recovery_latency_ms_max\": {}, \
-         \"recovery_latency_ms_mean\": {:.2}, \"tallies_match_reference\": {}}}",
+         \"recovery_latency_ms_mean\": {:.2}, \"prepare_fills\": {}, \"prepare_hits\": {}, \
+         \"tallies_match_reference\": {}}}",
         p.state,
         p.elapsed_ms,
         p.trials_per_sec,
@@ -121,6 +130,8 @@ fn pass_json(p: &PassResult, extra: &str) -> String {
         p.recoveries,
         p.recovery_latency_ms_max,
         p.recovery_latency_ms_mean,
+        p.prepare_fills,
+        p.prepare_hits,
         p.tallies_match_reference
     )
 }
@@ -161,8 +172,13 @@ fn main() {
         "  completed in {} ms ({:.1} trials/s), {} requeues",
         clean.elapsed_ms, clean.trials_per_sec, clean.requeued
     );
+    println!(
+        "  {} cells prepared, {} leases served from the cache",
+        clean.prepare_fills, clean.prepare_hits
+    );
     assert_eq!(clean.requeued, 0, "a chaos-free run must not requeue");
     assert!(clean.tallies_match_reference);
+    assert_eq!(clean.prepare_fills, cells, "each cell is prepared once");
 
     println!("\n== chaos pass (kill_permille = {kill_permille}) ==");
     // The chaos schedule panics worker attempts on purpose; keep those off
@@ -204,6 +220,10 @@ fn main() {
         chaos.recovery_latency_ms_mean
     );
     println!(
+        "  {} cells prepared, {} leases served from the cache",
+        chaos.prepare_fills, chaos.prepare_hits
+    );
+    println!(
         "  tallies match serial reference: {}",
         chaos.tallies_match_reference
     );
@@ -214,6 +234,10 @@ fn main() {
     assert!(
         chaos.tallies_match_reference,
         "chaos must be invisible in the tallies"
+    );
+    assert_eq!(
+        chaos.prepare_fills, cells,
+        "re-leased shards hit the warm cache"
     );
 
     let json =

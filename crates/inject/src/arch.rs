@@ -9,6 +9,8 @@
 //! predicate surfaces as a `hang` outcome instead of spinning the host
 //! forever.
 
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -470,6 +472,12 @@ impl CampaignOptions {
 /// independent pure functions of `(seed, trial index)`, which is what makes
 /// checkpoint/resume and parallel sharding byte-identical.
 ///
+/// Everything [`Self::prepare_with`] derives is independent of the seed and
+/// lives behind one shared `Arc`, so [`Self::with_seed`] re-targets a
+/// prepared campaign at another seed in O(1) — the prepared-campaign cache
+/// of `swapcodes-serve` prepares each cell once and serves every later
+/// shard and job from it.
+///
 /// Trials run through [`ArchCampaign::run_trial`], which resumes from the
 /// nearest epoch snapshot at or before the injection site and prunes the
 /// suffix on golden convergence; [`ArchCampaign::run_trial_reference`]
@@ -479,22 +487,38 @@ impl CampaignOptions {
 #[derive(Debug)]
 pub struct ArchCampaign<'w> {
     workload: &'w Workload,
+    prepared: Arc<Prepared>,
+    seed: u64,
+    /// Hard per-trial step budget. Defaults to a margin over the golden
+    /// run's dynamic instruction count (`SWAPCODES_FUEL` overrides).
+    pub fuel: u64,
+}
+
+/// The seed-independent state of a prepared campaign.
+#[derive(Debug)]
+struct Prepared {
     scheme: Scheme,
     kernel: swapcodes_isa::Kernel,
     launch: Launch,
     protection: Protection,
     golden: Vec<u32>,
     eligible: u64,
-    seed: u64,
     engine: CampaignEngine,
     options: CampaignOptions,
     peephole: PeepholeStats,
-    /// Area-weighted stuck-at site catalog over the FxP MAD unit — built
+    /// Area-weighted stuck-at site catalog over the FxP MAD unit — present
     /// only when the mix can draw the stuck-at class.
-    sites: Option<SiteCatalog>,
-    /// Hard per-trial step budget. Defaults to a margin over the golden
-    /// run's dynamic instruction count (`SWAPCODES_FUEL` overrides).
-    pub fuel: u64,
+    sites: Option<&'static SiteCatalog>,
+}
+
+/// The process-wide stuck-at site catalog. Stuck-at sites are physical:
+/// the FxP MAD unit's injectable nodes with NAND2-area weighting (the
+/// paper's densest datapath unit), so permanent-defect probability follows
+/// silicon cross-section rather than a uniform bit draw. The netlist is
+/// fixed, so one catalog serves every campaign.
+fn fxp_mad_sites() -> &'static SiteCatalog {
+    static SITES: OnceLock<SiteCatalog> = OnceLock::new();
+    SITES.get_or_init(|| SiteCatalog::from_netlist(build_unit(UnitKind::FxpMad32).netlist()))
 }
 
 /// Fast-forward telemetry of one trial (bench reporting: how much work the
@@ -604,92 +628,115 @@ impl<'w> ArchCampaign<'w> {
             golden,
             "fast-forward golden output diverged from reference golden"
         );
-        // Stuck-at sites are physical: enumerate the FxP MAD unit's
-        // injectable nodes with NAND2-area weighting (the paper's densest
-        // datapath unit) so permanent-defect probability follows silicon
-        // cross-section rather than a uniform bit draw.
-        let sites = (options.mix.stuck_at > 0)
-            .then(|| SiteCatalog::from_netlist(build_unit(UnitKind::FxpMad32).netlist()));
+        let sites = (options.mix.stuck_at > 0).then(fxp_mad_sites);
         Ok(Self {
             workload,
-            scheme,
-            kernel,
-            launch: t.launch,
-            protection: t.protection,
-            golden,
-            eligible,
+            prepared: Arc::new(Prepared {
+                scheme,
+                kernel,
+                launch: t.launch,
+                protection: t.protection,
+                golden,
+                eligible,
+                engine,
+                options,
+                peephole: peep,
+                sites,
+            }),
             seed,
-            engine,
-            options,
-            peephole: peep,
-            sites,
             fuel,
         })
+    }
+
+    /// This campaign re-targeted at `seed`, sharing every prepared
+    /// structure (kernel, golden output, snapshot ladder, compiled code).
+    /// O(1): [`Self::prepare_with`] uses its seed for nothing but the
+    /// per-trial draws, so `prepare_with(w, s, a, o).with_seed(b)` runs
+    /// exactly the trials of `prepare_with(w, s, b, o)`.
+    #[must_use]
+    pub fn with_seed(&self, seed: u64) -> Self {
+        Self {
+            workload: self.workload,
+            prepared: Arc::clone(&self.prepared),
+            seed,
+            fuel: self.fuel,
+        }
+    }
+
+    /// Heap bytes this campaign keeps alive: the snapshot ladder (each
+    /// distinct rung image counted once), the transformed kernel and the
+    /// golden output. What a cache of prepared campaigns charges per entry.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        let p = &self.prepared;
+        p.engine.resident_bytes()
+            + (p.kernel.len() * std::mem::size_of::<swapcodes_isa::Instr>()) as u64
+            + (p.golden.len() * 4) as u64
     }
 
     /// Engine options the campaign was prepared with.
     #[must_use]
     pub fn options(&self) -> CampaignOptions {
-        self.options
+        self.prepared.options
     }
 
     /// The checkpoint engine tag (see [`CampaignOptions::engine_tag`]).
     #[must_use]
     pub fn engine_tag(&self) -> &'static str {
-        self.options.engine_tag()
+        self.prepared.options.engine_tag()
     }
 
     /// The recovery-campaign checkpoint engine tag (see
     /// [`CampaignOptions::recovery_engine_tag`]).
     #[must_use]
     pub fn recovery_engine_tag(&self) -> &'static str {
-        self.options.recovery_engine_tag()
+        self.prepared.options.recovery_engine_tag()
     }
 
     /// Peephole statistics over the transformed kernel (all zero when the
     /// pass was disabled).
     #[must_use]
     pub fn peephole_stats(&self) -> PeepholeStats {
-        self.peephole
+        self.prepared.peephole
     }
 
     /// Adjacent micro-op pairs the tier-2 compiler fused into
     /// superinstruction closures (0 on tier 1).
     #[must_use]
     pub fn fused_pairs(&self) -> usize {
-        self.engine.fused_pairs()
+        self.prepared.engine.fused_pairs()
     }
 
     /// Number of epoch snapshots captured for fast-forwarding.
     #[must_use]
     pub fn snapshot_count(&self) -> usize {
-        self.engine.snapshot_count()
+        self.prepared.engine.snapshot_count()
     }
 
     /// Snapshot spacing in dynamic instructions.
     #[must_use]
     pub fn snapshot_interval(&self) -> u64 {
-        self.engine.interval()
+        self.prepared.engine.interval()
     }
 
     /// Dynamic instructions of the golden run (what every from-scratch
     /// trial pays, and what fast-forwarding avoids re-executing).
     #[must_use]
     pub fn golden_dynamic(&self) -> u64 {
-        self.engine.golden_dynamic()
+        self.prepared.engine.golden_dynamic()
     }
 
     /// The transformed kernel trials execute (the static verifier's input
     /// for differential checking, see [`crate::oracle`]).
     #[must_use]
     pub fn kernel(&self) -> &swapcodes_isa::Kernel {
-        &self.kernel
+        &self.prepared.kernel
     }
 
     /// The transformed launch geometry (for timing the recovered kernel).
     #[must_use]
     pub fn launch(&self) -> Launch {
-        self.launch
+        self.prepared.launch
     }
 
     /// The register-file protection mode trials execute under — what a
@@ -697,13 +744,13 @@ impl<'w> ArchCampaign<'w> {
     /// must use to replay the golden dynamic stream exactly.
     #[must_use]
     pub fn protection(&self) -> Protection {
-        self.protection
+        self.prepared.protection
     }
 
     /// The scheme this campaign was transformed under.
     #[must_use]
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.prepared.scheme
     }
 
     /// The untransformed source workload.
@@ -722,7 +769,7 @@ impl<'w> ArchCampaign<'w> {
     /// can draw the stuck-at class).
     #[must_use]
     pub fn site_catalog(&self) -> Option<&SiteCatalog> {
-        self.sites.as_ref()
+        self.prepared.sites
     }
 
     /// The fault injected by trial `trial` (pure in `(seed, trial)`).
@@ -748,10 +795,10 @@ impl<'w> ArchCampaign<'w> {
                 ^ (trial + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ u64::from(salt).wrapping_mul(0xA076_1D64_78BD_642F),
         );
-        let mix = self.options.mix;
+        let mix = self.prepared.options.mix;
         if mix.is_pure_transient() {
             return FaultSpec {
-                eligible_index: rng.gen_range(0..self.eligible.max(1)),
+                eligible_index: rng.gen_range(0..self.prepared.eligible.max(1)),
                 lane: rng.gen_range(0..32),
                 xor_mask: 1u64 << rng.gen_range(0..32u32),
                 target: if rng.gen_bool(0.5) {
@@ -777,7 +824,7 @@ impl<'w> ArchCampaign<'w> {
     /// toward single-bit) — the SDC-anatomy observation that field errors
     /// are frequently multi-bit and spatially patterned.
     fn draw_transient(&self, rng: &mut SmallRng) -> FaultSpec {
-        let eligible_index = rng.gen_range(0..self.eligible.max(1));
+        let eligible_index = rng.gen_range(0..self.prepared.eligible.max(1));
         let lane = rng.gen_range(0..32u32);
         let width = match rng.gen_range(0..6u32) {
             0..=2 => 1u32,
@@ -798,7 +845,7 @@ impl<'w> ArchCampaign<'w> {
     /// Control-state draw: a strike on parallelism-management state at a
     /// uniformly chosen *global dynamic instruction* of the golden run.
     fn draw_control(&self, rng: &mut SmallRng) -> FaultSpec {
-        let dyn_index = rng.gen_range(0..self.engine.golden_dynamic().max(1));
+        let dyn_index = rng.gen_range(0..self.prepared.engine.golden_dynamic().max(1));
         let lane = rng.gen_range(0..32u32);
         let target_state = match rng.gen_range(0..4u32) {
             0 => ControlTarget::Predicate,
@@ -828,13 +875,13 @@ impl<'w> ArchCampaign<'w> {
     /// permanent.
     fn draw_stuck_at(&self, rng: &mut SmallRng) -> FaultSpec {
         let cat = self
+            .prepared
             .sites
-            .as_ref()
             .expect("site catalog built for stuck-at mixes");
         let site = cat
             .pick_weighted(rng.gen_range(0..cat.total_weight().max(1)))
             .expect("ticket in range of non-empty catalog");
-        let activation = rng.gen_range(0..self.eligible.max(1));
+        let activation = rng.gen_range(0..self.prepared.eligible.max(1));
         let lane = rng.gen_range(0..32u32);
         let bit = site.node % 32;
         let value = (site.node / 32) % 2 == 1;
@@ -940,7 +987,10 @@ impl<'w> ArchCampaign<'w> {
         cancel: Option<&CancelToken>,
         mode: ResumeMode,
     ) -> Option<(TrialOutcome, TrialTelemetry)> {
-        let t = self.engine.run_trial_mode(fault, self.fuel, cancel, mode);
+        let t = self
+            .prepared
+            .engine
+            .run_trial_mode(fault, self.fuel, cancel, mode);
         if matches!(t.error, Some(ExecError::Cancelled { .. })) {
             return None;
         }
@@ -976,7 +1026,7 @@ impl<'w> ArchCampaign<'w> {
                     // O(output-region) check against the CoW view — the
                     // trial's memory must never be flattened here.
                     let (addr, words) = self.workload.output;
-                    if t.mem.read_u32_slice(addr, words as usize) == self.golden {
+                    if t.mem.read_u32_slice(addr, words as usize) == self.prepared.golden {
                         TrialOutcome::Masked
                     } else {
                         TrialOutcome::Sdc
@@ -1003,21 +1053,21 @@ impl<'w> ArchCampaign<'w> {
         let mut mem = self.workload.build_memory();
         let exec = Executor {
             config: ExecConfig {
-                protection: self.protection,
+                protection: self.prepared.protection,
                 fault: Some(fault),
                 cta_limit: Some(1),
                 fuel: Some(self.fuel),
                 ..ExecConfig::default()
             },
         };
-        match exec.run(&self.kernel, self.launch, &mut mem) {
+        match exec.run(&self.prepared.kernel, self.prepared.launch, &mut mem) {
             Ok(r) => match r.detection {
                 Detection::Trap { .. } => TrialOutcome::Trap,
                 Detection::Due { .. } => TrialOutcome::Due,
                 Detection::MemFault { .. } => TrialOutcome::Crash,
                 Detection::Hang { .. } => TrialOutcome::Hang,
                 Detection::None => {
-                    if self.workload.output_words(&mem) == self.golden {
+                    if self.workload.output_words(&mem) == self.prepared.golden {
                         TrialOutcome::Masked
                     } else {
                         TrialOutcome::Sdc
@@ -1075,7 +1125,7 @@ impl<'w> ArchCampaign<'w> {
     /// The fault-class mix this campaign draws from.
     #[must_use]
     pub fn mix(&self) -> FaultMix {
-        self.options.mix
+        self.prepared.options.mix
     }
 
     /// Run one fueled trial **through the recovery ladder** and classify the
@@ -1100,7 +1150,7 @@ impl<'w> ArchCampaign<'w> {
         let input = self.workload.build_memory();
         let engine = RecoveryEngine {
             exec: ExecConfig {
-                protection: self.protection,
+                protection: self.prepared.protection,
                 fault: Some(fault),
                 cta_limit: Some(1),
                 fuel: Some(self.fuel),
@@ -1108,10 +1158,10 @@ impl<'w> ArchCampaign<'w> {
             },
             config: *rcfg,
         };
-        let run = engine.run(&self.kernel, self.launch, &input);
+        let run = engine.run(&self.prepared.kernel, self.prepared.launch, &input);
         let outcome = match run.outcome {
             RecoveryOutcome::Recovered { policy, attempts } => {
-                if self.workload.output_words(&run.mem) == self.golden {
+                if self.workload.output_words(&run.mem) == self.prepared.golden {
                     TrialOutcome::Recovered { policy, attempts }
                 } else {
                     TrialOutcome::Miscorrected
@@ -1119,7 +1169,7 @@ impl<'w> ArchCampaign<'w> {
             }
             // No recovery action fired: classify exactly like the plain path.
             RecoveryOutcome::Clean => {
-                if self.workload.output_words(&run.mem) == self.golden {
+                if self.workload.output_words(&run.mem) == self.prepared.golden {
                     TrialOutcome::Masked
                 } else {
                     TrialOutcome::Sdc

@@ -16,7 +16,8 @@
 //! are pure functions of `(seed, index)`, the merged results are
 //! byte-identical to a single-threaded serial run no matter how many
 //! workers were killed along the way — the property the chaos tests and
-//! the CI acceptance gate pin down.
+//! the CI acceptance gate pin down. Workers prepare each cell once per
+//! service and re-target it at every shard's seed (DESIGN.md §13).
 //!
 //! [`http`] fronts the service with a dependency-free HTTP/JSON API; the
 //! `swapcodes-serve` binary wraps both into a CLI
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod board;
+mod cache;
 pub mod http;
 pub mod json;
 pub mod queue;

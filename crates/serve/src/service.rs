@@ -37,14 +37,15 @@ use std::time::{Duration, Instant};
 
 use swapcodes_core::Scheme;
 use swapcodes_inject::{
-    run_arch_shard_checkpointed, serve_workers_from_env, shard_timeout_ms_from_env, write_atomic,
-    ArchCampaign, CampaignOptions, CheckpointConfig, FaultClassTallies, ShardControl, ShardEvent,
-    ShardSpec,
+    fuel_from_env, run_arch_shard_checkpointed, serve_workers_from_env, shard_timeout_ms_from_env,
+    snapshot_interval_from_env, write_atomic, ArchCampaign, CampaignOptions, CheckpointConfig,
+    FaultClassTallies, ShardControl, ShardEvent, ShardSpec,
 };
 use swapcodes_sim::FaultClass;
-use swapcodes_workloads::by_name;
+use swapcodes_workloads::{lookup, Workload};
 
 use crate::board::{Board, Job, JobState, Lease, ShardStatus};
+use crate::cache::{PrepKey, Prepared, PreparedCache, PREPARED_CACHE_BYTES};
 use crate::json::Json;
 use crate::queue::{JobQueue, ShardJob};
 use crate::spec::{verify_gate, CampaignSpec, GateError, SpecError};
@@ -253,9 +254,25 @@ struct Inner {
     /// drained into `recovery_latencies_ms` when a replacement adopts.
     pending_recovery: Mutex<Vec<(ShardKey, u64)>>,
     recovery_latencies_ms: Mutex<Vec<u64>>,
+    /// Prepared campaigns, one per cell, shared by every shard and job.
+    prepared: PreparedCache,
 }
 
 impl Inner {
+    fn new(cfg: ServiceConfig) -> Self {
+        Self {
+            board: Mutex::new(Board::default()),
+            queue: JobQueue::new(),
+            cfg,
+            epoch: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            requeues_total: AtomicU64::new(0),
+            pending_recovery: Mutex::new(Vec::new()),
+            recovery_latencies_ms: Mutex::new(Vec::new()),
+            prepared: PreparedCache::new(PREPARED_CACHE_BYTES),
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
@@ -329,16 +346,7 @@ impl Service {
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers;
-        let inner = Arc::new(Inner {
-            board: Mutex::new(Board::default()),
-            queue: JobQueue::new(),
-            cfg,
-            epoch: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            requeues_total: AtomicU64::new(0),
-            pending_recovery: Mutex::new(Vec::new()),
-            recovery_latencies_ms: Mutex::new(Vec::new()),
-        });
+        let inner = Arc::new(Inner::new(cfg));
         resume_persisted_jobs(&inner);
 
         let (tx, rx) = channel::<Msg>();
@@ -466,9 +474,10 @@ impl Service {
         f(&self.inner.board.lock().expect("board poisoned"))
     }
 
-    /// Service-level robustness metrics.
+    /// Service-level robustness and prepared-campaign cache metrics.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
+        let cache = self.inner.prepared.stats();
         let lat = self
             .inner
             .recovery_latencies_ms
@@ -484,6 +493,10 @@ impl Service {
             } else {
                 lat.iter().sum::<u64>() as f64 / lat.len() as f64
             },
+            prepare_fills: cache.fills,
+            prepare_hits: cache.hits,
+            prepare_evictions: cache.evictions,
+            prepare_resident_bytes: cache.resident_bytes,
         }
     }
 
@@ -515,7 +528,8 @@ impl Drop for Service {
     }
 }
 
-/// A snapshot of the service's loss-recovery counters.
+/// A snapshot of the service's loss-recovery and prepared-campaign cache
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMetrics {
     /// Worker-pool size.
@@ -528,6 +542,14 @@ pub struct ServiceMetrics {
     pub recovery_latency_ms_max: u64,
     /// Mean loss-detection-to-re-lease latency.
     pub recovery_latency_ms_mean: f64,
+    /// Cells prepared (cache fills that ran to completion).
+    pub prepare_fills: u64,
+    /// Shard leases served from an already prepared cell.
+    pub prepare_hits: u64,
+    /// Prepared cells evicted to stay within the cache's byte budget.
+    pub prepare_evictions: u64,
+    /// Bytes the resident prepared cells hold.
+    pub prepare_resident_bytes: u64,
 }
 
 fn resume_persisted_jobs(inner: &Arc<Inner>) {
@@ -672,28 +694,8 @@ fn worker_loop(inner: &Arc<Inner>, tx: &Sender<Msg>) {
 }
 
 fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
-    let Some(w) = by_name(&leased.workload) else {
-        let _ = tx.send(Msg::Failed {
-            key: leased.key,
-            attempt: leased.attempt,
-            reason: format!("unknown workload \"{}\"", leased.workload),
-        });
+    let Some(campaign) = leased_campaign(inner, tx, leased, ArchCampaign::prepare_with) else {
         return;
-    };
-    let opts = CampaignOptions {
-        mix: leased.mix,
-        ..CampaignOptions::from_env()
-    };
-    let campaign = match ArchCampaign::prepare_with(&w, leased.scheme, leased.seed, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = tx.send(Msg::Failed {
-                key: leased.key,
-                attempt: leased.attempt,
-                reason: format!("campaign preparation failed: {e}"),
-            });
-            return;
-        }
     };
 
     // Tighten the lease now that the fuel bound is known: one trial can
@@ -793,15 +795,10 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
 
     match outcome {
         Err(payload) => {
-            let reason = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_owned());
             let _ = tx.send(Msg::Failed {
                 key: leased.key,
                 attempt: leased.attempt,
-                reason,
+                reason: panic_reason(payload.as_ref()),
             });
         }
         Ok(run) if run.finished => {
@@ -828,6 +825,60 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
             let _ = vanished;
         }
     }
+}
+
+/// The leased cell's prepared campaign at the job's seed: a cache hit, or a
+/// `prepare` fill on a miss. Fills run under the same panic containment as
+/// shard runs: a fill that panics (or fails to prepare, or names an unknown
+/// workload) reports `Failed` for this attempt and returns `None`, the
+/// cache slot stays empty for the next lease, and the worker lives on.
+fn leased_campaign(
+    inner: &Inner,
+    tx: &Sender<Msg>,
+    leased: &Leased,
+    prepare: impl FnOnce(&'static Workload, Scheme, u64, CampaignOptions) -> Prepared,
+) -> Option<ArchCampaign<'static>> {
+    let fail = |reason: String| {
+        let _ = tx.send(Msg::Failed {
+            key: leased.key,
+            attempt: leased.attempt,
+            reason,
+        });
+        None
+    };
+    let Some(w) = lookup(&leased.workload) else {
+        return fail(format!("unknown workload \"{}\"", leased.workload));
+    };
+    let options = CampaignOptions {
+        mix: leased.mix,
+        ..CampaignOptions::from_env()
+    };
+    let key = PrepKey {
+        workload: w.name,
+        scheme: leased.scheme,
+        options,
+        fuel: fuel_from_env(),
+        snapshot_interval: snapshot_interval_from_env(),
+    };
+    let got = catch_unwind(AssertUnwindSafe(|| {
+        inner.prepared.get(key, leased.seed, || {
+            prepare(w, leased.scheme, leased.seed, options)
+        })
+    }));
+    match got {
+        Ok(Ok(campaign)) => Some(campaign),
+        Ok(Err(e)) => fail(format!("campaign preparation failed: {e}")),
+        Err(payload) => fail(panic_reason(payload.as_ref())),
+    }
+}
+
+/// The message of a caught panic.
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "worker panicked".to_owned())
 }
 
 fn aggregator_loop(inner: &Arc<Inner>, rx: &Receiver<Msg>) {
@@ -922,7 +973,9 @@ fn monitor_loop(inner: &Arc<Inner>) {
         let mut board = inner.board.lock().expect("board poisoned");
         let mut lost = Vec::new();
         for (ji, job) in board.jobs.iter().enumerate() {
-            if job.state == JobState::Cancelled {
+            // Settled jobs run no shards; skipping them keeps each scan
+            // proportional to live work, not to the service's history.
+            if job.is_settled() {
                 continue;
             }
             for (ci, cell) in job.cells.iter().enumerate() {
@@ -942,5 +995,83 @@ fn monitor_loop(inner: &Arc<Inner>) {
         for key in lost {
             inner.requeue_locked(&mut board, key, true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use swapcodes_inject::PrepError;
+
+    use super::*;
+
+    fn leased(workload: &str) -> Leased {
+        Leased {
+            key: (0, 0, 0),
+            attempt: 3,
+            shard: ShardSpec {
+                tag: "t".to_owned(),
+                start: 0,
+                end: 4,
+            },
+            workload: workload.to_owned(),
+            scheme: Scheme::SwapEcc,
+            seed: 9,
+            mix: swapcodes_inject::FaultMix::default(),
+            lease: Lease {
+                beat: Arc::new(AtomicU64::new(0)),
+                abandon: Arc::new(AtomicBool::new(false)),
+                started_ms: 0,
+                beat_window_ms: u64::MAX,
+                deadline_ms: u64::MAX,
+            },
+            cancel: swapcodes_sim::CancelToken::default(),
+        }
+    }
+
+    fn failed_reason(msg: Msg) -> String {
+        match msg {
+            Msg::Failed {
+                key: (0, 0, 0),
+                attempt: 3,
+                reason,
+            } => reason,
+            _ => panic!("expected Failed for the leased attempt"),
+        }
+    }
+
+    #[test]
+    fn panicking_fill_fails_the_attempt_and_the_next_lease_refills() {
+        let inner = Inner::new(ServiceConfig::default());
+        let (tx, rx) = channel();
+        let l = leased("kmeans");
+        let got = leased_campaign(&inner, &tx, &l, |_, _, _, _| panic!("prepare exploded"));
+        assert!(got.is_none());
+        assert_eq!(
+            failed_reason(rx.try_recv().expect("Failed sent")),
+            "prepare exploded"
+        );
+        assert_eq!(inner.prepared.stats().fills, 0, "the slot stayed empty");
+
+        let c = leased_campaign(&inner, &tx, &l, ArchCampaign::prepare_with).expect("refills");
+        assert_eq!(c.seed(), 9);
+        assert!(rx.try_recv().is_err(), "a good fill sends nothing");
+        let s = inner.prepared.stats();
+        assert_eq!((s.fills, s.hits), (1, 0));
+    }
+
+    #[test]
+    fn preparation_errors_and_unknown_workloads_fail_the_attempt() {
+        let inner = Inner::new(ServiceConfig::default());
+        let (tx, rx) = channel();
+        let l = leased("kmeans");
+        let got = leased_campaign(&inner, &tx, &l, |_, _, _, _| Err(PrepError::NotApplicable));
+        assert!(got.is_none());
+        let reason = failed_reason(rx.try_recv().expect("Failed sent"));
+        assert!(reason.contains("preparation failed"), "{reason}");
+
+        let got = leased_campaign(&inner, &tx, &leased("nonesuch"), ArchCampaign::prepare_with);
+        assert!(got.is_none());
+        let reason = failed_reason(rx.try_recv().expect("Failed sent"));
+        assert!(reason.contains("unknown workload"), "{reason}");
     }
 }

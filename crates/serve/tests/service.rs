@@ -322,6 +322,57 @@ fn cancelled_job_settles_and_other_tenants_finish() {
     service.shutdown();
 }
 
+/// The prepared-campaign cache is seed-free and survives chaos: two jobs
+/// over the same cells with different seeds, then a third whose every first
+/// shard attempt is killed and re-leased on the warm cache, all merge
+/// byte-identically to their serial references — and each distinct cell is
+/// prepared exactly once.
+#[test]
+fn warm_cache_serves_new_seeds_and_re_leased_shards_byte_identically() {
+    let dir = scratch_dir("warm-cache");
+    let service = Service::start(ServiceConfig {
+        workers: 3,
+        shard_timeout_ms: 400,
+        max_attempts: 4,
+        backoff_base_ms: 5,
+        checkpoint_interval: 3,
+        dir: Some(dir.clone()),
+        chaos: Some(ChaosConfig {
+            only_tag_containing: Some("j2-".to_owned()),
+            ..ChaosConfig::new(
+                0x5EED_CA5E,
+                1000,
+                vec![ChaosAction::Panic, ChaosAction::Vanish, ChaosAction::Hang],
+            )
+        }),
+    });
+    let spec = |seed: u64| {
+        format!(
+            r#"{{"name":"warm","workloads":["kmeans","hspot"],
+                "schemes":["swap-ecc","sw-dup"],"fault_mix":"all",
+                "trials":24,"seed":{seed},"shard_trials":12}}"#
+        )
+    };
+    for (expected_id, seed) in [11u64, 12, 13].into_iter().enumerate() {
+        let id = service.submit(&spec(seed)).expect("spec is admissible");
+        assert_eq!(id, expected_id as u64);
+        assert!(service.wait(id, WAIT), "job {id} must settle");
+        let state = service.with_board(|b| b.jobs[b.job_index(id).expect("job")].state);
+        assert_eq!(state, JobState::Completed);
+        assert_cells_match_reference(&service, id);
+    }
+
+    let m = service.metrics();
+    // 2 workloads x 2 schemes, 2 shards each; job 2's first attempts died.
+    assert_eq!(m.prepare_fills, 4, "one fill per distinct cell: {m:?}");
+    assert!(m.requeued >= 8, "every chaos first attempt requeues: {m:?}");
+    assert!(m.prepare_hits >= 3 * 8 + 8 - 4, "{m:?}");
+    assert_eq!(m.prepare_evictions, 0);
+    assert!(m.prepare_resident_bytes > 0);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Submitting garbage never reaches the queue: malformed JSON, bad fields
 /// and verify-gate rejections all come back as structured errors.
 #[test]

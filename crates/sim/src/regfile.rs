@@ -150,6 +150,13 @@ impl WarpRegFile {
         self.regs
     }
 
+    /// Heap bytes held: the stored words plus the dirty/touched bitmaps.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<Stored>()
+            + (self.dirty.len() + self.touched.len()) * 8
+    }
+
     #[inline]
     fn idx(&self, lane: u32, reg: u8) -> usize {
         debug_assert!(lane < 32);

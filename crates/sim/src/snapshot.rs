@@ -372,6 +372,31 @@ impl CampaignEngine {
         self.ladder.golden_dynamic
     }
 
+    /// Heap bytes the epoch ladder keeps alive: global- and shared-memory
+    /// images and warp register files, each distinct `Arc` counted once
+    /// (rungs over an unwritten interval share their predecessor's image),
+    /// plus the per-rung golden delta sets.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        let mut bytes = 0usize;
+        for s in &self.ladder.snapshots {
+            for image in [&s.mem, &s.shared] {
+                if seen.insert(Arc::as_ptr(image) as usize) {
+                    bytes += image.len() * 4;
+                }
+            }
+            for w in &s.warps {
+                if seen.insert(Arc::as_ptr(&w.rf) as usize) {
+                    bytes += w.rf.heap_bytes();
+                }
+                bytes += w.delta_regs.len() * 8;
+            }
+            bytes += s.delta_pages.len() * 8;
+        }
+        bytes as u64
+    }
+
     /// Run one fueled trial, resuming from the nearest epoch snapshot at or
     /// before the injection site and pruning the suffix when post-strike
     /// state re-converges to golden.

@@ -35,6 +35,8 @@ mod srad;
 
 pub(crate) mod util;
 
+use std::sync::OnceLock;
+
 use swapcodes_isa::Kernel;
 use swapcodes_sim::{GlobalMemory, Launch};
 
@@ -111,6 +113,15 @@ pub fn all() -> Vec<Workload> {
     v
 }
 
+/// Look a workload up by name in a registry of [`all`] built once per
+/// process on first use, so repeated lookups (one per campaign-service
+/// shard lease) build nothing. [`by_name`] builds a fresh, owned copy.
+#[must_use]
+pub fn lookup(name: &str) -> Option<&'static Workload> {
+    static ALL: OnceLock<Vec<Workload>> = OnceLock::new();
+    ALL.get_or_init(all).iter().find(|w| w.name == name)
+}
+
 /// Look a workload up by name.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
@@ -139,6 +150,12 @@ mod tests {
     fn lookup_by_name() {
         assert!(by_name("bfs").is_some());
         assert!(by_name("nonesuch").is_none());
+        let w = lookup("matmul").expect("matmul");
+        assert!(std::ptr::eq(w, lookup("matmul").expect("matmul")));
+        assert_eq!(
+            by_name("matmul").expect("matmul").kernel.len(),
+            w.kernel.len()
+        );
     }
 
     #[test]
