@@ -31,8 +31,9 @@
 //! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
 //! [`CheckpointConfig::dir`]); with no directory configured the harness
 //! still contains panics but keeps no on-disk state. All on-disk formats
-//! are single-line flat JSON written by this module (the workspace vendors
-//! a no-op `serde` stub, so serialization is hand-rolled).
+//! are single-line flat JSON objects, written by this module's `format!`
+//! templates over [`escape`] and read back with [`Json::parse`]; a line
+//! that does not parse as an object is torn or foreign.
 
 use std::fs;
 use std::io::Write as _;
@@ -42,6 +43,7 @@ use std::sync::{Mutex, OnceLock};
 
 use swapcodes_core::Scheme;
 use swapcodes_gates::units::ArithUnit;
+use swapcodes_isa::json::{escape, Json};
 use swapcodes_workloads::Workload;
 
 use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};
@@ -281,118 +283,6 @@ pub fn slug(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON (the vendored serde is a no-op stub, so this is hand-rolled).
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Decode the body of a JSON string literal: everything [`json_escape`]
-/// emits, plus the remaining short escapes. `None` on a bad escape.
-fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        out.push(match chars.next()? {
-            '"' => '"',
-            '\\' => '\\',
-            '/' => '/',
-            'n' => '\n',
-            'r' => '\r',
-            't' => '\t',
-            'b' => '\u{8}',
-            'f' => '\u{c}',
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 || !hex.chars().all(|h| h.is_ascii_hexdigit()) {
-                    return None;
-                }
-                char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
-            }
-            _ => return None,
-        });
-    }
-    Some(out)
-}
-
-/// Parse one flat JSON object (`{"key":value,...}`) into raw `(key, value)`
-/// string pairs. Values are numbers, `true`/`false`, or strings, which are
-/// decoded with [`json_unescape`] — exactly what this module writes.
-/// Returns `None` on anything malformed (a torn or foreign line).
-fn parse_flat(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let close = rest.find('"')?;
-        let key = rest[..close].to_owned();
-        rest = rest[close + 1..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            let mut end = None;
-            let mut prev_backslash = false;
-            for (i, c) in after.char_indices() {
-                if prev_backslash {
-                    prev_backslash = false;
-                } else if c == '\\' {
-                    prev_backslash = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end?;
-            value = json_unescape(&after[..end])?;
-            rest = after[end + 1..].trim_start();
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            value = rest[..end].trim().to_owned();
-            rest = &rest[end..];
-        }
-        fields.push((key, value));
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else {
-            break;
-        }
-    }
-    Some(fields)
-}
-
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
-fn field_u64(fields: &[(String, String)], key: &str) -> Option<u64> {
-    field(fields, key)?.parse().ok()
-}
-
-// ---------------------------------------------------------------------------
 // Anomaly log
 // ---------------------------------------------------------------------------
 
@@ -465,8 +355,8 @@ impl AnomalyLog {
 fn anomaly_line(campaign: &str, item: u64, retries: u32, panic_msg: &str) -> String {
     format!(
         "{{\"campaign\":\"{}\",\"item\":{item},\"retries\":{retries},\"panic\":\"{}\"}}\n",
-        json_escape(campaign),
-        json_escape(panic_msg)
+        escape(campaign),
+        escape(panic_msg)
     )
 }
 
@@ -507,9 +397,9 @@ fn rotate_anomaly_log(path: &Path, cap: u64) {
     for line in text.lines() {
         // A previous rotation's marker carries its dropped count forward
         // instead of being retained as an ordinary line.
-        if let Some(f) = parse_flat(line) {
-            if field(&f, "rotated") == Some("true") {
-                dropped += field_u64(&f, "dropped").unwrap_or(0);
+        if let Some(marker) = parse_record(line) {
+            if marker.get("rotated").and_then(Json::as_bool) == Some(true) {
+                dropped += marker.get("dropped").and_then(Json::as_u64).unwrap_or(0);
                 continue;
             }
         }
@@ -691,15 +581,22 @@ pub struct ShardRun {
 /// from its range start, so a format change can never be misparsed.
 const CHECKPOINT_VERSION: &str = "1";
 
+/// A record parsed as a JSON object; `None` for a torn or foreign line.
+fn parse_record(text: &str) -> Option<Json> {
+    Json::parse(text).ok().filter(|f| matches!(f, Json::Obj(_)))
+}
+
 /// `Err` names why a parsed checkpoint's schema version is not ours.
-fn check_version(f: &[(String, String)]) -> Result<(), String> {
-    match field(f, "v") {
-        Some(CHECKPOINT_VERSION) => Ok(()),
-        v => Err(format!(
-            "checkpoint schema version {} is not {CHECKPOINT_VERSION}",
-            v.unwrap_or("(none)")
-        )),
-    }
+fn check_version(f: &Json) -> Result<(), String> {
+    let found = match f.get("v") {
+        Some(Json::Num(v)) if v == CHECKPOINT_VERSION => return Ok(()),
+        Some(Json::Num(v)) => v.clone(),
+        Some(other) => format!("{other:?}"),
+        None => "(none)".to_owned(),
+    };
+    Err(format!(
+        "checkpoint schema version {found} is not {CHECKPOINT_VERSION}"
+    ))
 }
 
 /// Serialize one tally's ten buckets with a per-class key prefix
@@ -722,8 +619,8 @@ fn outcome_fields(prefix: &str, t: &ArchOutcomes) -> String {
     )
 }
 
-fn parse_outcome_fields(f: &[(String, String)], prefix: &str) -> Option<ArchOutcomes> {
-    let g = |k: &str| field_u64(f, &format!("{prefix}{k}"));
+fn parse_outcome_fields(f: &Json, prefix: &str) -> Option<ArchOutcomes> {
+    let g = |k: &str| f.get(&format!("{prefix}{k}")).and_then(Json::as_u64);
     Some(ArchOutcomes {
         trap: g("trap")?,
         due: g("due")?,
@@ -825,9 +722,9 @@ fn checkpoint_json(id: &Identity<'_>, p: &Progress) -> String {
          \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
         id.mode,
         id.engine,
-        json_escape(&id.mix),
-        json_escape(id.workload),
-        json_escape(&id.scheme),
+        escape(&id.mix),
+        escape(id.workload),
+        escape(&id.scheme),
         id.seed,
         id.fuel,
         id.start,
@@ -865,22 +762,24 @@ enum Loaded {
 /// for exactly `cursor - start` trials; any disagreement means a torn or
 /// hand-edited file.
 fn load_checkpoint(text: &str, id: &Identity<'_>) -> Loaded {
-    let Some(f) = parse_flat(text) else {
+    let Some(f) = parse_record(text) else {
         return Loaded::Foreign;
     };
     if let Err(reason) = check_version(&f) {
         return Loaded::Stale(reason);
     }
+    let s = |k: &str| f.get(k).and_then(Json::as_str);
+    let n = |k: &str| f.get(k).and_then(Json::as_u64);
     let same_cell = || {
         Some(
-            field(&f, "campaign")? == "arch"
-                && field(&f, "mode")? == id.mode
-                && field(&f, "workload")? == id.workload
-                && field(&f, "scheme")? == id.scheme
-                && field_u64(&f, "seed")? == id.seed
-                && field_u64(&f, "fuel")? == id.fuel
-                && field_u64(&f, "start")? == id.start
-                && field_u64(&f, "end")? == id.end,
+            s("campaign")? == "arch"
+                && s("mode")? == id.mode
+                && s("workload")? == id.workload
+                && s("scheme")? == id.scheme
+                && n("seed")? == id.seed
+                && n("fuel")? == id.fuel
+                && n("start")? == id.start
+                && n("end")? == id.end,
         )
     };
     if same_cell() != Some(true) {
@@ -890,7 +789,7 @@ fn load_checkpoint(text: &str, id: &Identity<'_>) -> Loaded {
         ("engine", "engine", id.engine),
         ("faultmix", "fault mix", &id.mix),
     ] {
-        let found = field(&f, key).unwrap_or("");
+        let found = s(key).unwrap_or("");
         if found != ours {
             return Loaded::Stale(format!(
                 "checkpoint {what} \"{found}\" is incompatible with \"{ours}\""
@@ -904,14 +803,14 @@ fn load_checkpoint(text: &str, id: &Identity<'_>) -> Loaded {
             stuck_at: parse_outcome_fields(&f, "s_")?,
         };
         let p = Progress {
-            cursor: field_u64(&f, "cursor")?,
+            cursor: n("cursor")?,
             classes,
             stats: RecoveryStats {
-                checkpoints: field_u64(&f, "ckpts")?,
-                replays: field_u64(&f, "replays")?,
-                replayed_instructions: field_u64(&f, "replayed")?,
-                corrections: field_u64(&f, "corrections")?,
-                relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
+                checkpoints: n("ckpts")?,
+                replays: n("replays")?,
+                replayed_instructions: n("replayed")?,
+                corrections: n("corrections")?,
+                relaunches: u32::try_from(n("relaunches")?).ok()?,
             },
         };
         (parse_outcome_fields(&f, "")? == classes.aggregate()
@@ -1228,7 +1127,7 @@ fn unit_checkpoint_json(unit: &str, seed: u64, inputs: u64, completed: u64) -> S
     format!(
         "{{\"v\":{CHECKPOINT_VERSION},\"campaign\":\"unit\",\"unit\":\"{}\",\"seed\":{seed},\
          \"inputs\":{inputs},\"completed\":{completed}}}",
-        json_escape(unit)
+        escape(unit)
     )
 }
 
@@ -1246,21 +1145,20 @@ fn outcome_json(o: &InputOutcome) -> String {
 }
 
 fn parse_outcome(line: &str) -> Option<InputOutcome> {
-    let f = parse_flat(line)?;
-    let index = field_u64(&f, "i")?;
-    let attempts = field_u64(&f, "attempts")?;
-    let record = if field(&f, "masked") == Some("true") {
+    let f = parse_record(line)?;
+    let n = |k: &str| f.get(k).and_then(Json::as_u64);
+    let record = if f.get("masked").and_then(Json::as_bool) == Some(true) {
         None
     } else {
         Some(crate::gate::InjectionRecord {
-            golden: field_u64(&f, "golden")?,
-            faulty: field_u64(&f, "faulty")?,
+            golden: n("golden")?,
+            faulty: n("faulty")?,
         })
     };
     Some(InputOutcome {
-        index,
+        index: n("i")?,
         record,
-        attempts,
+        attempts: n("attempts")?,
     })
 }
 
@@ -1332,16 +1230,18 @@ pub fn run_unit_campaign_checkpointed(
         let loaded = fs::read_to_string(ckpt)
             .ok()
             .and_then(|text| {
-                let f = parse_flat(&text)?;
+                let f = parse_record(&text)?;
                 if let Err(reason) = check_version(&f) {
                     log.record(&name, 0, 0, &format!("{reason}; restarting from input 0"));
                     return None;
                 }
-                (field(&f, "campaign")? == "unit"
-                    && field(&f, "unit")? == label
-                    && field_u64(&f, "seed")? == cfg.seed
-                    && field_u64(&f, "inputs")? == total)
-                    .then(|| field_u64(&f, "completed"))?
+                let s = |k: &str| f.get(k).and_then(Json::as_str);
+                let n = |k: &str| f.get(k).and_then(Json::as_u64);
+                (s("campaign")? == "unit"
+                    && s("unit")? == label
+                    && n("seed")? == cfg.seed
+                    && n("inputs")? == total)
+                    .then(|| n("completed"))?
             })
             .filter(|&c| c <= total)
             .and_then(|c| Some((c, load_unit_records(records, c)?)));
@@ -1555,20 +1455,22 @@ mod tests {
         };
         let id = identity("recover", "classicp", "t1c1s1");
         let line = checkpoint_json(&id, &p);
-        let f = parse_flat(&line).expect("parses");
-        assert_eq!(field(&f, "v"), Some("1"));
-        assert_eq!(field(&f, "mode"), Some("recover"));
-        assert_eq!(field(&f, "engine"), Some("classicp"));
-        assert_eq!(field(&f, "faultmix"), Some("t1c1s1"));
-        assert_eq!(field(&f, "workload"), Some("bfs"));
-        assert_eq!(field(&f, "scheme"), Some("Swap-ECC"));
+        let f = Json::parse(&line).expect("parses");
+        let s = |k: &str| f.get(k).and_then(Json::as_str);
+        let n = |k: &str| f.get(k).and_then(Json::as_u64);
+        assert_eq!(n("v"), Some(1));
+        assert_eq!(s("mode"), Some("recover"));
+        assert_eq!(s("engine"), Some("classicp"));
+        assert_eq!(s("faultmix"), Some("t1c1s1"));
+        assert_eq!(s("workload"), Some("bfs"));
+        assert_eq!(s("scheme"), Some("Swap-ECC"));
         // Aggregate fields merge the classes; per-class fields round-trip.
-        assert_eq!(field_u64(&f, "hang"), Some(21));
-        assert_eq!(field_u64(&f, "due"), Some(13));
-        assert_eq!(field_u64(&f, "t_rec_replay"), Some(8));
-        assert_eq!(field_u64(&f, "c_hang"), Some(17));
-        assert_eq!(field_u64(&f, "s_due"), Some(11));
-        assert_eq!(field_u64(&f, "replayed"), Some(13));
+        assert_eq!(n("hang"), Some(21));
+        assert_eq!(n("due"), Some(13));
+        assert_eq!(n("t_rec_replay"), Some(8));
+        assert_eq!(n("c_hang"), Some(17));
+        assert_eq!(n("s_due"), Some(11));
+        assert_eq!(n("replayed"), Some(13));
         match load_checkpoint(&line, &id) {
             Loaded::Resumable(back) => assert_eq!(back, p),
             other => panic!("own record must resume, got {other:?}"),
@@ -1689,12 +1591,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Everything `json_escape` emits, `parse_flat` decodes: the string
-        /// fields of a checkpoint record and of an anomaly line (whose
-        /// `panic` field carries multi-line `assert_eq!` messages) survive
-        /// a write/parse round trip unchanged.
+        /// The string fields of a checkpoint record and of an anomaly line
+        /// (whose `panic` field carries multi-line `assert_eq!` messages)
+        /// survive a write/parse round trip unchanged.
         #[test]
-        fn flat_json_string_fields_roundtrip(
+        fn record_string_fields_roundtrip(
             workload in adversarial_string(),
             scheme in adversarial_string(),
             mix in adversarial_string(),
@@ -1713,10 +1614,11 @@ mod tests {
             };
             let p = Progress { cursor: 8, ..masked_progress(3) };
             let line = checkpoint_json(&id, &p);
-            let f = parse_flat(&line).expect("record parses");
-            prop_assert_eq!(field(&f, "workload"), Some(workload.as_str()));
-            prop_assert_eq!(field(&f, "scheme"), Some(scheme.as_str()));
-            prop_assert_eq!(field(&f, "faultmix"), Some(mix.as_str()));
+            let f = Json::parse(&line).expect("record parses");
+            let s = |k: &str| f.get(k).and_then(Json::as_str);
+            prop_assert_eq!(s("workload"), Some(workload.as_str()));
+            prop_assert_eq!(s("scheme"), Some(scheme.as_str()));
+            prop_assert_eq!(s("faultmix"), Some(mix.as_str()));
             prop_assert!(
                 matches!(load_checkpoint(&line, &id), Loaded::Resumable(back) if back == p),
                 "record does not resume: {}", line
@@ -1724,10 +1626,59 @@ mod tests {
 
             let line = anomaly_line(&workload, 7, 3, &panic_msg);
             prop_assert!(line.ends_with('\n') && line.lines().count() == 1);
-            let f = parse_flat(&line).expect("anomaly line parses");
-            prop_assert_eq!(field(&f, "campaign"), Some(workload.as_str()));
-            prop_assert_eq!(field_u64(&f, "item"), Some(7));
-            prop_assert_eq!(field(&f, "panic"), Some(panic_msg.as_str()));
+            let f = Json::parse(&line).expect("anomaly line parses");
+            prop_assert_eq!(f.get("campaign").and_then(Json::as_str), Some(workload.as_str()));
+            prop_assert_eq!(f.get("item").and_then(Json::as_u64), Some(7));
+            prop_assert_eq!(f.get("panic").and_then(Json::as_str), Some(panic_msg.as_str()));
+        }
+
+        /// No strict prefix of a checkpoint record (what a torn write
+        /// leaves) is ever resumed: each one loads as foreign.
+        #[test]
+        fn checkpoint_record_prefixes_load_as_foreign(
+            workload in adversarial_string(),
+            scheme in adversarial_string(),
+            done in 0u64..35,
+        ) {
+            let id = Identity {
+                workload: &workload,
+                scheme,
+                start: 5,
+                end: 40,
+                ..identity("plain", "ff2p", "t1c0s0")
+            };
+            let p = Progress { cursor: 5 + done, ..masked_progress(done) };
+            let line = checkpoint_json(&id, &p);
+            prop_assert!(matches!(load_checkpoint(&line, &id), Loaded::Resumable(back) if back == p));
+            for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                prop_assert!(
+                    matches!(load_checkpoint(&line[..cut], &id), Loaded::Foreign),
+                    "prefix of {} bytes loads: {}", cut, &line[..cut]
+                );
+            }
+        }
+
+        /// No strict prefix of a unit-record line parses, so a torn
+        /// sidecar tail is skipped rather than trusted.
+        #[test]
+        fn unit_record_prefixes_are_skipped(
+            index in any::<u64>(),
+            golden in any::<u64>(),
+            faulty in any::<u64>(),
+            attempts in any::<u64>(),
+            masked in any::<bool>(),
+        ) {
+            let o = InputOutcome {
+                index,
+                record: (!masked).then_some(crate::gate::InjectionRecord { golden, faulty }),
+                attempts,
+            };
+            let line = outcome_json(&o);
+            prop_assert_eq!(parse_outcome(&line).map(|b| (b.index, b.record, b.attempts)),
+                Some((index, o.record, attempts)));
+            for cut in 0..line.len() {
+                prop_assert!(parse_outcome(&line[..cut]).is_none(), "prefix loads: {}", &line[..cut]);
+            }
         }
     }
 
@@ -1752,32 +1703,21 @@ mod tests {
             text.len()
         );
         let first = text.lines().next().expect("non-empty");
-        let f = parse_flat(first).expect("marker parses");
-        assert_eq!(field(&f, "rotated"), Some("true"));
-        let dropped = field_u64(&f, "dropped").expect("dropped count");
+        let f = Json::parse(first).expect("marker parses");
+        assert_eq!(f.get("rotated").and_then(Json::as_bool), Some(true));
+        let dropped = f
+            .get("dropped")
+            .and_then(Json::as_u64)
+            .expect("dropped count");
         assert!(dropped > 0, "old lines were dropped");
         // The newest line always survives rotation.
         let last = text.lines().last().expect("non-empty");
-        let lf = parse_flat(last).expect("tail line parses");
-        assert_eq!(field_u64(&lf, "item"), Some(39));
+        let lf = Json::parse(last).expect("tail line parses");
+        assert_eq!(lf.get("item").and_then(Json::as_u64), Some(39));
         // Dropped + retained = everything ever logged.
         let retained = text.lines().count() as u64 - 1;
         assert_eq!(dropped + retained, 40);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parse_flat_rejects_torn_lines() {
-        assert!(parse_flat("{\"a\":1").is_none());
-        assert!(parse_flat("").is_none());
-        assert!(parse_flat("{\"a\"}").is_none());
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let f = parse_flat("{\"panic\":\"index \\\"x\\\" out of range\"}").expect("parses");
-        assert_eq!(field(&f, "panic"), Some("index \"x\" out of range"));
     }
 
     #[test]

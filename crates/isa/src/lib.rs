@@ -32,6 +32,7 @@
 
 pub mod disasm;
 mod instr;
+pub mod json;
 mod kernel;
 pub mod liveness;
 mod op;

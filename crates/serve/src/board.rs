@@ -16,9 +16,9 @@ use std::sync::Arc;
 use swapcodes_core::Scheme;
 use swapcodes_inject::stats::Proportion;
 use swapcodes_inject::{slug, ArchOutcomes, FaultClassTallies, ShardSpec};
+use swapcodes_isa::json::escape;
 use swapcodes_sim::CancelToken;
 
-use crate::json::escape;
 use crate::spec::CampaignSpec;
 
 /// Lifecycle of one shard.
@@ -505,7 +505,7 @@ mod tests {
         assert!(results.contains("\"coverage\":{"));
         assert!(results.contains("\"wilson_lo\""));
         // Both parse back through the crate's own JSON reader.
-        crate::json::Json::parse(&status).expect("status is valid JSON");
-        crate::json::Json::parse(&results).expect("results are valid JSON");
+        swapcodes_isa::json::Json::parse(&status).expect("status is valid JSON");
+        swapcodes_isa::json::Json::parse(&results).expect("results are valid JSON");
     }
 }

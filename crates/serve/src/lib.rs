@@ -29,15 +29,14 @@
 pub mod board;
 mod cache;
 pub mod http;
-pub mod json;
 pub mod queue;
 pub mod service;
 pub mod spec;
 
 pub use board::{Board, Cell, Job, JobState, Lease, Shard, ShardStatus};
-pub use json::Json;
 pub use queue::{JobQueue, ShardJob};
 pub use service::{
     ChaosAction, ChaosConfig, Service, ServiceConfig, ServiceMetrics, SubmitError, STEPS_PER_MS,
 };
 pub use spec::{gate_kernel, parse_scheme, verify_gate, CampaignSpec, GateError, SpecError};
+pub use swapcodes_isa::json::Json;

@@ -41,12 +41,12 @@ use swapcodes_inject::{
     snapshot_interval_from_env, write_atomic, ArchCampaign, CampaignOptions, CheckpointConfig,
     FaultClassTallies, ShardControl, ShardEvent, ShardSpec,
 };
+use swapcodes_isa::json::Json;
 use swapcodes_sim::FaultClass;
 use swapcodes_workloads::{lookup, Workload};
 
 use crate::board::{Board, Job, JobState, Lease, ShardStatus};
 use crate::cache::{PrepKey, Prepared, PreparedCache, PREPARED_CACHE_BYTES};
-use crate::json::Json;
 use crate::queue::{JobQueue, ShardJob};
 use crate::spec::{verify_gate, CampaignSpec, GateError, SpecError};
 

@@ -29,7 +29,7 @@ use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::FaultMix;
 use swapcodes_workloads::by_name;
 
-use crate::json::{escape, Json};
+use swapcodes_isa::json::{escape, Json};
 
 /// Default per-cell trial count when the spec omits `trials`.
 pub const DEFAULT_TRIALS: u64 = 240;
@@ -424,6 +424,8 @@ pub fn verify_gate(spec: &CampaignSpec) -> Result<(), GateError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -483,5 +485,66 @@ mod tests {
         )
         .expect("parses");
         verify_gate(&spec).expect("built-in cells verify clean");
+    }
+
+    /// Spec fragments, valid and broken, to splice into texts.
+    const TOKENS: [&str; 28] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        "\\u",
+        "d83d",
+        "\"name\":",
+        "\"workloads\":",
+        "\"schemes\":",
+        "\"fault_mix\":",
+        "\"trials\":",
+        "\"seed\":",
+        "\"shard_trials\":",
+        "\"matmul\"",
+        "\"swap-ecc\"",
+        "\"Pre MAD\"",
+        "\"all\"",
+        "\"t1c2s0\"",
+        "0",
+        "7",
+        "-1",
+        "18446744073709551616",
+        "1e3",
+        "null",
+        "é\\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A tenant's body yields a spec or a structured error, never a
+        /// panic; and every accepted spec round-trips through its
+        /// canonical form.
+        #[test]
+        fn spec_parse_never_panics(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..40),
+            name in prop::collection::vec(any::<u32>(), 0..16),
+        ) {
+            let text: String = picks.into_iter().map(|i| TOKENS[i]).collect();
+            if let Ok(spec) = CampaignSpec::parse(&text) {
+                prop_assert_eq!(CampaignSpec::parse(&spec.to_json()), Ok(spec));
+            }
+            let name: String = name
+                .into_iter()
+                .map(|raw| char::from_u32(raw % 0x11_0000).unwrap_or('"'))
+                .collect();
+            let text = format!(
+                r#"{{"name":"{}","workloads":["matmul"],"schemes":["swap-ecc"]}}"#,
+                escape(&name)
+            );
+            let spec = CampaignSpec::parse(&text).expect("escaped name parses");
+            prop_assert_eq!(&spec.name, &name);
+            prop_assert_eq!(CampaignSpec::parse(&spec.to_json()), Ok(spec));
+        }
     }
 }

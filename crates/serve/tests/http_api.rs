@@ -1,7 +1,7 @@
 //! HTTP front-end round trip over an ephemeral port: submit, status,
 //! results, cancel, and the structured `422` rejection paths (including
 //! the verify gate surfacing a non-applicable cell's reason in the error
-//! body).
+//! body, and a nesting bomb the JSON reader refuses).
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -131,6 +131,33 @@ fn http_rejects_inapplicable_cell_with_structured_body() {
         "{body}"
     );
     assert!(body.contains("\"detail\":"), "{body}");
+
+    stop.store(true, Ordering::SeqCst);
+    handle.join().expect("serve thread");
+    service.shutdown();
+}
+
+/// A deeply nested body is rejected like any other malformed JSON: the
+/// reader's depth bound answers `422` instead of overflowing the stack of
+/// the thread that serves every request, and the server keeps serving.
+#[test]
+fn http_rejects_deeply_nested_body_and_keeps_serving() {
+    let (service, addr, stop, handle) = start_api(1);
+
+    let nested = "[".repeat(200_000);
+    let (status, body) = http::request(&addr, "POST", "/jobs", Some(&nested)).expect("post");
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"error\":\"bad_json\""), "{body}");
+
+    let (status, body) = http::request(
+        &addr,
+        "POST",
+        "/jobs",
+        Some(r#"{"workloads":["kmeans"],"schemes":["swap-ecc"],"trials":4,"shard_trials":4}"#),
+    )
+    .expect("post");
+    assert_eq!((status, body.as_str()), (200, "{\"job\":0}"));
+    assert!(service.wait(0, Duration::from_secs(300)), "job finishes");
 
     stop.store(true, Ordering::SeqCst);
     handle.join().expect("serve thread");

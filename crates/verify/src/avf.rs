@@ -37,7 +37,7 @@
 use swapcodes_core::Scheme;
 use swapcodes_ecc::swap::{original_strike, shadow_strike, StrikeOutcome};
 use swapcodes_ecc::HsiaoSecDed;
-use swapcodes_isa::{Kernel, Liveness, Op};
+use swapcodes_isa::{json::escape, Kernel, Liveness, Op};
 use swapcodes_sim::ControlTarget;
 
 use crate::cfg::Cfg;
@@ -186,8 +186,8 @@ impl AvfReport {
             .any(|s| s.pc == pc && s.kind == kind)
     }
 
-    /// Render as a JSON object (hand-rolled; the workspace vendors no
-    /// serializer). `top` bounds the emitted site list.
+    /// Render as a JSON object (a hand-kept template over [`escape`]).
+    /// `top` bounds the emitted site list.
     #[must_use]
     pub fn to_json(&self, top: usize) -> String {
         let classes: Vec<String> = self
@@ -225,7 +225,7 @@ impl AvfReport {
         );
         format!(
             "{{\"scheme\":\"{}\",\"reg_ace\":{:.6},\"pred_ace\":{:.6},\"classes\":[{}],\"control_sites\":{{\"count\":{},\"top\":[{}]}},\"area\":{}}}",
-            self.scheme.replace('"', "\\\""),
+            escape(&self.scheme),
             self.reg_ace,
             self.pred_ace,
             classes.join(","),
@@ -736,6 +736,23 @@ mod tests {
         assert!(j.contains("\"class\":\"transient\""));
         assert!(j.contains("\"ff_milli\":400"));
         assert!(j.contains("\"count\":"));
+        let doc = swapcodes_isa::json::Json::parse(&j).expect("report is valid JSON");
+        assert_eq!(doc.get("scheme").and_then(|v| v.as_str()), Some("Swap-ECC"));
+        let classes = doc
+            .get("classes")
+            .and_then(|v| v.as_arr())
+            .expect("classes array");
+        assert_eq!(classes.len(), r.classes().len());
+        assert_eq!(
+            classes[0].get("class").and_then(|v| v.as_str()),
+            Some("transient")
+        );
+        assert_eq!(
+            doc.get("area")
+                .and_then(|a| a.get("ff_milli"))
+                .and_then(|v| v.as_u64()),
+            Some(400)
+        );
         let d = r.to_string();
         assert!(d.contains("predicted coverage"));
         assert!(r.prediction("control").is_some());

@@ -65,7 +65,7 @@ mod swdup;
 
 use serde::Serialize;
 use swapcodes_core::Scheme;
-use swapcodes_isa::{Kernel, Reg};
+use swapcodes_isa::{json::escape, Kernel, Reg};
 
 /// A verifier rule: one way a scheme's protection invariant can be broken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -228,12 +228,9 @@ impl Report {
     }
 
     /// Render the report as a JSON object — the machine-readable form CI
-    /// consumes. (Hand-rolled: the workspace vendors no serializer crate.)
+    /// consumes (a hand-kept template over [`escape`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let findings: Vec<String> = self
             .findings
             .iter()
@@ -253,9 +250,9 @@ impl Report {
             .collect();
         format!(
             "{{\"scheme\":\"{}\",\"clean\":{},\"coverage\":{{\"kind\":\"{}\",\"points\":{},\"covered\":{},\"fraction\":{:.6}}},\"findings\":[{}]}}",
-            esc(&self.scheme),
+            escape(&self.scheme),
             self.is_clean(),
-            esc(self.coverage.kind),
+            escape(self.coverage.kind),
             self.coverage.points,
             self.coverage.covered,
             self.coverage.fraction(),

@@ -3,6 +3,7 @@
 //! through the facade crate the way a downstream user sees them.
 
 use swapcodes::core::{apply, PredictorSet, Scheme};
+use swapcodes::isa::json::Json;
 use swapcodes::isa::validate::{lint, validate, Lint};
 use swapcodes::verify::verify;
 
@@ -79,4 +80,12 @@ fn machine_readable_report_round_trips_key_facts() {
     assert!(json.contains("\"clean\":true"));
     assert!(json.contains(&format!("\"points\":{}", report.coverage.points)));
     assert!(json.contains("\"fraction\":1"));
+    let doc = Json::parse(&json).expect("report is valid JSON");
+    assert_eq!(doc.get("scheme").and_then(Json::as_str), Some("Swap-ECC"));
+    assert_eq!(doc.get("clean").and_then(Json::as_bool), Some(true));
+    let coverage = doc.get("coverage").expect("coverage object");
+    assert_eq!(
+        coverage.get("points").and_then(Json::as_u64),
+        Some(u64::from(report.coverage.points))
+    );
 }
