@@ -5,7 +5,7 @@
 use swapcodes_bench::figures;
 
 fn main() {
-    let trials: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
+    let trials: u64 = if swapcodes_bench::fast_mode() {
         120
     } else {
         360

@@ -21,7 +21,7 @@
 use swapcodes_inject::avf_calibration;
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
+    let fast = swapcodes_bench::fast_mode();
     let trials: u64 = if fast { 120 } else { 360 };
     let seed = 0xACE_CA1Bu64;
 

@@ -137,7 +137,7 @@ fn pass_json(p: &PassResult, extra: &str) -> String {
 }
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
+    let fast = swapcodes_bench::fast_mode();
     let trials: u64 = if fast { 48 } else { 120 };
     let shard_trials: u64 = 16;
     let workers = 4usize;

@@ -22,7 +22,7 @@ use swapcodes_sim::recovery::RecoveryConfig;
 use swapcodes_workloads::by_name;
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
+    let fast = swapcodes_bench::fast_mode();
     let trials: u64 = if fast { 30 } else { 120 };
     let workloads = ["matmul", "kmeans", "b+tree"];
     let schemes = [

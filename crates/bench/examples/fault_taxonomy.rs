@@ -50,7 +50,7 @@ fn outcomes_json(o: &ArchOutcomes) -> String {
 }
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
+    let fast = swapcodes_bench::fast_mode();
     let trials: u64 = if fast { 120 } else { 360 };
     let seed = 0xFA17_0007u64;
     let workloads = ["matmul", "kmeans", "hspot", "bprop", "pathf", "srad_v2"];

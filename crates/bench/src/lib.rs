@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 use swapcodes_core::{apply, Scheme};
+use swapcodes_inject::RunConfig;
 use swapcodes_sim::exec::{ExecConfig, Executor, WarpTrace};
 use swapcodes_sim::profiler::ProfileCounts;
 use swapcodes_sim::timing::{simulate_kernel, KernelTiming, TimingConfig};
@@ -98,23 +99,23 @@ impl<T> Cell<T> {
     }
 }
 
-/// Whether the quick mode is enabled (`SWAPCODES_FAST=1`), shrinking
-/// campaign sizes so the whole bench suite completes in seconds.
+/// Whether the quick mode is enabled (`SWAPCODES_FAST=1`; `0` or unset
+/// runs in full), shrinking campaign sizes so the whole bench suite
+/// completes in seconds.
 #[must_use]
 pub fn fast_mode() -> bool {
-    std::env::var("SWAPCODES_FAST").is_ok_and(|v| v == "1")
+    RunConfig::from_env().fast
 }
 
-/// Gate-level campaign inputs per unit (paper: 10 000).
+/// Gate-level campaign inputs per unit: 400 in fast mode, else
+/// `SWAPCODES_INPUTS` (paper: 10 000).
 #[must_use]
 pub fn campaign_inputs() -> usize {
-    if fast_mode() {
+    let run = RunConfig::from_env();
+    if run.fast {
         400
     } else {
-        std::env::var("SWAPCODES_INPUTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000)
+        run.inputs.unwrap_or(10_000)
     }
 }
 

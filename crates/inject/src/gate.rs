@@ -12,14 +12,12 @@ use swapcodes_gates::{BatchResult, EvalScratch};
 
 use crate::stats::Proportion;
 
-/// Worker-pool width used by the parallel drivers in this workspace: the
-/// `SWAPCODES_THREADS` environment override when set and well-formed
-/// (malformed values are surfaced once, see
-/// [`crate::harness::take_env_anomalies`]), otherwise the machine's
-/// available parallelism.
+/// Worker-pool width used by the parallel drivers in this workspace:
+/// [`RunConfig::threads`](crate::RunConfig::threads) (`SWAPCODES_THREADS`)
+/// when set and well-formed, otherwise the machine's available parallelism.
 #[must_use]
 pub fn default_thread_count() -> usize {
-    crate::harness::threads_from_env().unwrap_or_else(|| {
+    crate::RunConfig::from_env().threads.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
     })
 }

@@ -27,9 +27,9 @@
 //! [`run_unit_campaign_checkpointed`] keeps its own chunked loop and
 //! records sidecar, under the same schema-version check.
 //!
-//! Checkpoints and the anomaly log live in the directory named by the
-//! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
-//! [`CheckpointConfig::dir`]); with no directory configured the harness
+//! Checkpoints and the anomaly log live in an explicit
+//! [`CheckpointConfig::dir`], by default the `SWAPCODES_CHECKPOINT_DIR` of
+//! [`RunConfig::from_env`]; with no directory configured the harness
 //! still contains panics but keeps no on-disk state. All on-disk formats
 //! are single-line flat JSON objects, written by this module's `format!`
 //! templates over [`escape`] and read back with [`Json::parse`]; a line
@@ -39,7 +39,6 @@ use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 
 use swapcodes_core::Scheme;
 use swapcodes_gates::units::ArithUnit;
@@ -50,171 +49,9 @@ use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};
 use swapcodes_sim::{CancelToken, FaultClass};
 
 use crate::arch::{ArchCampaign, ArchOutcomes, FaultClassTallies, PrepError, TrialOutcome};
+use crate::config::{take_env_anomalies, RunConfig};
 use crate::gate::{run_unit_campaign_slice, CampaignConfig, InputOutcome, UnitCampaignResult};
 use crate::recovery::RecoveryCampaignConfig;
-
-/// Once-per-variable registry of malformed environment overrides. The
-/// first time a variable fails to parse the error is printed to stderr and
-/// queued for [`take_env_anomalies`]; later reads of the same variable
-/// stay quiet (campaign drivers re-read the overrides for every prepared
-/// campaign, and one typo should not spam the log once per cell).
-#[derive(Default)]
-struct EnvAnomalies {
-    surfaced: Vec<&'static str>,
-    pending: Vec<String>,
-}
-
-fn env_anomaly_registry() -> &'static Mutex<EnvAnomalies> {
-    static REG: OnceLock<Mutex<EnvAnomalies>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(EnvAnomalies::default()))
-}
-
-fn surface_env_anomaly(var: &'static str, msg: String) {
-    let mut reg = env_anomaly_registry()
-        .lock()
-        .expect("env anomaly registry poisoned");
-    if reg.surfaced.contains(&var) {
-        return;
-    }
-    reg.surfaced.push(var);
-    eprintln!("swapcodes: {msg}");
-    reg.pending.push(msg);
-}
-
-/// Drain the malformed-environment messages queued since the last call.
-/// The checkpointed campaign drivers call this once per campaign and
-/// append the messages to the [`AnomalyLog`], so a typo'd override is
-/// visible in the campaign's on-disk record instead of only on a
-/// scrolled-away stderr.
-#[must_use]
-pub fn take_env_anomalies() -> Vec<String> {
-    std::mem::take(
-        &mut env_anomaly_registry()
-            .lock()
-            .expect("env anomaly registry poisoned")
-            .pending,
-    )
-}
-
-/// Read and parse environment variable `var`. A malformed value returns
-/// `None` like an unset one — the campaign still runs on its defaults —
-/// but the parse error is surfaced through [`surface_env_anomaly`] rather
-/// than silently swallowed.
-fn env_parsed<T>(var: &'static str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
-    let raw = match std::env::var(var) {
-        Ok(raw) => raw,
-        Err(std::env::VarError::NotPresent) => return None,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            surface_env_anomaly(var, format!("ignoring {var}: value is not valid unicode"));
-            return None;
-        }
-    };
-    match parse(&raw) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            surface_env_anomaly(var, format!("ignoring malformed {var}={raw:?}: {e}"));
-            None
-        }
-    }
-}
-
-fn parse_positive(v: &str) -> Result<u64, String> {
-    let n: u64 = v.trim().parse().map_err(|e| format!("{e}"))?;
-    if n == 0 {
-        Err("must be positive".to_owned())
-    } else {
-        Ok(n)
-    }
-}
-
-/// The `SWAPCODES_FUEL` override: a hard per-trial step budget for fueled
-/// execution (see [`crate::arch::ArchCampaign::fuel`]). Malformed values
-/// are surfaced once (see [`take_env_anomalies`]) and ignored.
-#[must_use]
-pub fn fuel_from_env() -> Option<u64> {
-    env_parsed("SWAPCODES_FUEL", parse_positive)
-}
-
-/// The `SWAPCODES_SNAPSHOT_INTERVAL` override: epoch-snapshot spacing (in
-/// dynamic instructions) for campaign fast-forwarding (see
-/// [`crate::arch::ArchCampaign::snapshot_interval`]). Unset: about 32
-/// snapshots across the golden run, with a 512-instruction floor.
-/// Malformed values are surfaced once and ignored.
-#[must_use]
-pub fn snapshot_interval_from_env() -> Option<u64> {
-    env_parsed("SWAPCODES_SNAPSHOT_INTERVAL", parse_positive)
-}
-
-/// The `SWAPCODES_EXEC_TIER` override: the execution tier
-/// [`crate::arch::CampaignOptions::from_env`] selects (`"tier1"` keeps the
-/// micro-op interpreter, `"tier2"` the compiled threaded-code buffer).
-/// Malformed values are surfaced once and ignored.
-#[must_use]
-pub fn exec_tier_from_env() -> Option<swapcodes_sim::ExecTier> {
-    env_parsed("SWAPCODES_EXEC_TIER", swapcodes_sim::ExecTier::parse)
-}
-
-/// The `SWAPCODES_COW_PAGE_WORDS` override: copy-on-write page size (in
-/// 32-bit words) for snapshot resume (see
-/// [`crate::arch::CampaignOptions::cow_page_words`]); rounded up to a power
-/// of two at engine capture. Outcome-invariant — it tunes resume cost,
-/// never trial results. Malformed values are surfaced once and ignored.
-#[must_use]
-pub fn cow_page_words_from_env() -> Option<usize> {
-    env_parsed("SWAPCODES_COW_PAGE_WORDS", |v| {
-        let n = parse_positive(v)?;
-        usize::try_from(n).map_err(|e| format!("{e}"))
-    })
-}
-
-/// The `SWAPCODES_THREADS` worker-pool override (see
-/// [`crate::gate::default_thread_count`]). Malformed values are surfaced
-/// once and ignored.
-#[must_use]
-pub fn threads_from_env() -> Option<usize> {
-    env_parsed("SWAPCODES_THREADS", |v| {
-        let n = parse_positive(v)?;
-        usize::try_from(n).map_err(|e| format!("{e}"))
-    })
-}
-
-/// The `SWAPCODES_FAULT_MODEL` override: the fault-class sampling mix
-/// [`crate::arch::CampaignOptions::from_env`] selects — `"transient"`
-/// (the default), `"control"`, `"stuckat"`, `"all"`, or a weighted comma
-/// list like `"transient:2,control:1,stuckat:1"`. Malformed values are
-/// surfaced once and ignored.
-#[must_use]
-pub fn fault_mix_from_env() -> Option<crate::arch::FaultMix> {
-    env_parsed("SWAPCODES_FAULT_MODEL", crate::arch::FaultMix::parse)
-}
-
-/// The `SWAPCODES_SERVE_WORKERS` override: worker-pool size of the
-/// campaign service (`swapcodes-serve`). Malformed values are surfaced
-/// once (see [`take_env_anomalies`]) and ignored.
-#[must_use]
-pub fn serve_workers_from_env() -> Option<usize> {
-    env_parsed("SWAPCODES_SERVE_WORKERS", |v| {
-        let n = parse_positive(v)?;
-        usize::try_from(n).map_err(|e| format!("{e}"))
-    })
-}
-
-/// The `SWAPCODES_SHARD_TIMEOUT_MS` override: base wall-clock deadline for
-/// one shard attempt in the campaign service (the fuel-derived component is
-/// added on top — see `swapcodes-serve`). Malformed values are surfaced
-/// once and ignored.
-#[must_use]
-pub fn shard_timeout_ms_from_env() -> Option<u64> {
-    env_parsed("SWAPCODES_SHARD_TIMEOUT_MS", parse_positive)
-}
-
-/// The `SWAPCODES_CHECKPOINT_DIR` campaign state directory, if set.
-#[must_use]
-pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
-    std::env::var_os("SWAPCODES_CHECKPOINT_DIR")
-        .filter(|p| !p.is_empty())
-        .map(PathBuf::from)
-}
 
 /// Write `contents` to `path` atomically: write and fsync a sibling
 /// temporary file, then rename it over the target. A crash at any point
@@ -427,7 +264,7 @@ fn rotate_anomaly_log(path: &Path, cap: u64) {
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint/anomaly directory; `None` disables on-disk state (the
-    /// default comes from `SWAPCODES_CHECKPOINT_DIR`).
+    /// default is [`RunConfig::checkpoint_dir`]).
     pub dir: Option<PathBuf>,
     /// Snapshot progress every this many completed items.
     pub interval: u64,
@@ -441,7 +278,7 @@ pub struct CheckpointConfig {
 impl Default for CheckpointConfig {
     fn default() -> Self {
         Self {
-            dir: checkpoint_dir_from_env(),
+            dir: RunConfig::from_env().checkpoint_dir,
             interval: 256,
             max_retries: 3,
             stop_after: None,
@@ -1343,49 +1180,6 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-
-    #[test]
-    fn malformed_env_overrides_surface_once() {
-        // Malformed values behave like unset ones (campaigns keep their
-        // defaults), so setting them here cannot skew concurrently running
-        // tests — but the parse error must surface exactly once.
-        std::env::set_var("SWAPCODES_FUEL", "not-a-number");
-        std::env::set_var("SWAPCODES_EXEC_TIER", "tier9");
-        assert_eq!(fuel_from_env(), None);
-        assert_eq!(fuel_from_env(), None);
-        assert_eq!(exec_tier_from_env(), None);
-        std::env::remove_var("SWAPCODES_FUEL");
-        std::env::remove_var("SWAPCODES_EXEC_TIER");
-        let msgs = take_env_anomalies();
-        assert_eq!(
-            msgs.iter().filter(|m| m.contains("SWAPCODES_FUEL")).count(),
-            1,
-            "repeated reads surface one anomaly: {msgs:?}"
-        );
-        assert_eq!(
-            msgs.iter()
-                .filter(|m| m.contains("SWAPCODES_EXEC_TIER"))
-                .count(),
-            1,
-            "tier parse error is surfaced: {msgs:?}"
-        );
-        // Once surfaced (and drained), the same variable never queues again.
-        assert_eq!(fuel_from_env(), None);
-        assert!(take_env_anomalies()
-            .iter()
-            .all(|m| !m.contains("SWAPCODES_FUEL")));
-
-        // Zero is rejected as malformed (surfaced), not treated as unset.
-        std::env::set_var("SWAPCODES_SNAPSHOT_INTERVAL", "0");
-        assert_eq!(snapshot_interval_from_env(), None);
-        std::env::remove_var("SWAPCODES_SNAPSHOT_INTERVAL");
-        let msgs = take_env_anomalies();
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("SWAPCODES_SNAPSHOT_INTERVAL") && m.contains("positive")),
-            "zero must be surfaced, not silently treated as unset: {msgs:?}"
-        );
-    }
 
     #[test]
     fn contain_succeeds_after_reseeded_retry() {

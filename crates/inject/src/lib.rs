@@ -13,6 +13,8 @@
 //!   output, under a fueled executor that cannot hang the host;
 //! * [`oracle`] — the differential oracle pitting the static protection
 //!   verifier against dynamic injection over the same transformed kernel;
+//! * [`config`] — the one parsed view of the `SWAPCODES_*` environment
+//!   knobs ([`RunConfig`]);
 //! * [`harness`] — panic containment, anomaly logging and crash-safe
 //!   checkpoint/resume around both campaign drivers;
 //! * [`stats`] — Wilson 95% binomial confidence intervals (the error bars of
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod arch;
+pub mod config;
 pub mod detection;
 pub mod gate;
 pub mod harness;
@@ -36,18 +39,17 @@ pub use arch::{
     arch_campaign, ArchCampaign, ArchOutcomes, CampaignOptions, FaultClassTallies, FaultMix,
     PrepError, RecoveredTrial, TrialOutcome, TrialTelemetry,
 };
+pub use config::{parse_thread_count, take_env_anomalies, RunConfig, MAX_THREADS};
 pub use detection::{sdc_risk, DetectionTally};
 pub use gate::{
     default_thread_count, run_unit_campaign, run_unit_campaign_slice, CampaignConfig, InputOutcome,
     PatternCounts, UnitCampaignResult,
 };
 pub use harness::{
-    checkpoint_dir_from_env, contain, exec_tier_from_env, fault_mix_from_env, fuel_from_env,
-    run_arch_campaign_checkpointed, run_arch_shard_checkpointed,
-    run_recovery_campaign_checkpointed, run_unit_campaign_checkpointed, serve_workers_from_env,
-    shard_timeout_ms_from_env, slug, snapshot_interval_from_env, take_env_anomalies,
-    threads_from_env, write_atomic, AnomalyLog, CampaignRun, CheckpointConfig, RecoveryCampaignRun,
-    ShardControl, ShardEvent, ShardRun, ShardSpec, UnitCampaignRun, ANOMALY_LOG_CAP_BYTES,
+    contain, run_arch_campaign_checkpointed, run_arch_shard_checkpointed,
+    run_recovery_campaign_checkpointed, run_unit_campaign_checkpointed, slug, write_atomic,
+    AnomalyLog, CampaignRun, CheckpointConfig, RecoveryCampaignRun, ShardControl, ShardEvent,
+    ShardRun, ShardSpec, UnitCampaignRun, ANOMALY_LOG_CAP_BYTES,
 };
 pub use oracle::{
     avf_calibration, campaign_avf, control_fault_gap, differential_oracle, recovery_oracle,

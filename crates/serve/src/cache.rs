@@ -33,20 +33,16 @@ use swapcodes_inject::{ArchCampaign, CampaignOptions, PrepError};
 pub const PREPARED_CACHE_BYTES: u64 = 64 << 20;
 
 /// Everything a prepared campaign depends on, except the seed: the
-/// checkpoint identity (engine tag, mix tag, fuel) minus the seed, plus the
-/// other environment overrides `prepare_with` reads.
+/// checkpoint identity (engine tag, mix tag, fuel) minus the seed.
+/// `prepare_with` reads nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrepKey {
     /// Workload name.
     pub workload: &'static str,
     /// Protection scheme.
     pub scheme: Scheme,
-    /// Resolved engine options (tier, peephole, fault mix, CoW page size).
+    /// Resolved options (tier, peephole, fault mix, CoW page size, fuel).
     pub options: CampaignOptions,
-    /// The `SWAPCODES_FUEL` override read for the lease.
-    pub fuel: Option<u64>,
-    /// The `SWAPCODES_SNAPSHOT_INTERVAL` override read for the lease.
-    pub snapshot_interval: Option<u64>,
 }
 
 /// What a fill produces.
@@ -210,8 +206,6 @@ mod tests {
             workload,
             scheme: Scheme::SwapEcc,
             options: CampaignOptions::default(),
-            fuel: None,
-            snapshot_interval: None,
         }
     }
 

@@ -10,14 +10,17 @@
 //!
 //! `serve` runs the worker pool and HTTP API in the foreground until
 //! killed; with `--dir` it resumes persisted jobs from their shard
-//! checkpoints on startup (the CI kill-and-restart flow). The other verbs
-//! are thin HTTP clients printing the JSON response.
+//! checkpoints on startup (the CI kill-and-restart flow). `--workers` takes
+//! a count in `1..=MAX_THREADS` (default 4); anything else is a usage
+//! error. The startup banner prints the resolved `SWAPCODES_*` settings.
+//! The other verbs are thin HTTP clients printing the JSON response.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use swapcodes_inject::parse_thread_count;
 use swapcodes_serve::http;
 use swapcodes_serve::{Service, ServiceConfig};
 
@@ -41,7 +44,7 @@ struct Flags {
     positional: Vec<String>,
 }
 
-fn parse_flags(args: &[String]) -> Option<Flags> {
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         addr: DEFAULT_ADDR.to_owned(),
         workers: None,
@@ -50,15 +53,20 @@ fn parse_flags(args: &[String]) -> Option<Flags> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{a} needs a value"));
         match a.as_str() {
-            "--addr" => flags.addr = it.next()?.clone(),
-            "--workers" => flags.workers = it.next()?.parse().ok(),
-            "--dir" => flags.dir = Some(it.next()?.clone()),
-            _ if a.starts_with("--") => return None,
+            "--addr" => flags.addr = value()?,
+            "--workers" => {
+                let v = value()?;
+                let n = parse_thread_count(&v).map_err(|e| format!("--workers {v:?}: {e}"))?;
+                flags.workers = Some(n);
+            }
+            "--dir" => flags.dir = Some(value()?),
+            _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
             _ => flags.positional.push(a.clone()),
         }
     }
-    Some(flags)
+    Ok(flags)
 }
 
 fn client(addr: &str, method: &str, path: &str, body: Option<&str>) -> ExitCode {
@@ -84,14 +92,18 @@ fn main() -> ExitCode {
     let Some(verb) = args.first().map(String::as_str) else {
         return usage();
     };
-    let Some(flags) = parse_flags(&args[1..]) else {
-        return usage();
+    let flags = match parse_flags(&args[1..]) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("swapcodes-serve: {e}");
+            return usage();
+        }
     };
     match verb {
         "serve" => {
             let mut cfg = ServiceConfig::default();
             if let Some(w) = flags.workers {
-                cfg.workers = w.max(1);
+                cfg.workers = w;
             }
             if let Some(d) = &flags.dir {
                 cfg.dir = Some(d.into());
@@ -103,8 +115,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            eprintln!(
-                "swapcodes-serve: listening on {} ({} workers{})",
+            let banner = format!(
+                "listening on {} ({} workers{})",
                 flags.addr,
                 cfg.workers,
                 cfg.dir
@@ -113,6 +125,10 @@ fn main() -> ExitCode {
                     .unwrap_or_default()
             );
             let service = Arc::new(Service::start(cfg));
+            eprintln!(
+                "swapcodes-serve: {banner}; run config: {}",
+                service.run_config()
+            );
             let stop = AtomicBool::new(false);
             if let Err(e) = http::serve(&service, &listener, &stop) {
                 eprintln!("swapcodes-serve: {e}");
@@ -145,5 +161,44 @@ fn main() -> ExitCode {
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use swapcodes_inject::MAX_THREADS;
+
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_flags(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn workers_take_a_count_in_range() {
+        assert_eq!(parse(&["--workers", "3"]).unwrap().workers, Some(3));
+        let max = MAX_THREADS.to_string();
+        assert_eq!(
+            parse(&["--workers", &max]).unwrap().workers,
+            Some(MAX_THREADS)
+        );
+        let over = (MAX_THREADS + 1).to_string();
+        for bad in ["abc", "0", "-1", "", &over, "1000000"] {
+            let err = parse(&["--workers", bad]).err();
+            assert!(err.is_some_and(|e| e.contains("--workers")), "{bad:?}");
+        }
+        assert!(parse(&["--workers"]).is_err());
+    }
+
+    #[test]
+    fn other_flags_and_positionals() {
+        let f = parse(&["--addr", "0.0.0.0:1", "--dir", "/tmp/s", "7"]).unwrap();
+        assert_eq!(
+            (f.addr.as_str(), f.dir.as_deref()),
+            ("0.0.0.0:1", Some("/tmp/s"))
+        );
+        assert_eq!((f.workers, f.positional), (None, vec!["7".to_owned()]));
+        assert!(parse(&["--addr"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 }

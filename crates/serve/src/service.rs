@@ -37,9 +37,8 @@ use std::time::{Duration, Instant};
 
 use swapcodes_core::Scheme;
 use swapcodes_inject::{
-    fuel_from_env, run_arch_shard_checkpointed, serve_workers_from_env, shard_timeout_ms_from_env,
-    snapshot_interval_from_env, write_atomic, ArchCampaign, CampaignOptions, CheckpointConfig,
-    FaultClassTallies, ShardControl, ShardEvent, ShardSpec,
+    run_arch_shard_checkpointed, write_atomic, ArchCampaign, CampaignOptions, CheckpointConfig,
+    FaultClassTallies, RunConfig, ShardControl, ShardEvent, ShardSpec,
 };
 use swapcodes_isa::json::Json;
 use swapcodes_sim::FaultClass;
@@ -136,8 +135,7 @@ impl ChaosConfig {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker-pool size (`SWAPCODES_SERVE_WORKERS` overrides the default
-    /// of 4).
+    /// Worker-pool size (default 4; `swapcodes-serve serve --workers`).
     pub workers: usize,
     /// Base per-shard deadline in milliseconds; the fuel-derived execution
     /// estimate is added on top (`SWAPCODES_SHARD_TIMEOUT_MS` overrides).
@@ -159,8 +157,8 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: serve_workers_from_env().unwrap_or(4).max(1),
-            shard_timeout_ms: shard_timeout_ms_from_env().unwrap_or(5_000),
+            workers: 4,
+            shard_timeout_ms: RunConfig::from_env().shard_timeout_ms.unwrap_or(5_000),
             max_attempts: 4,
             backoff_base_ms: 10,
             checkpoint_interval: 16,
@@ -247,6 +245,8 @@ struct Inner {
     board: Mutex<Board>,
     queue: JobQueue,
     cfg: ServiceConfig,
+    /// The `SWAPCODES_*` settings, resolved once at start.
+    run: RunConfig,
     epoch: Instant,
     shutdown: AtomicBool,
     requeues_total: AtomicU64,
@@ -264,6 +264,7 @@ impl Inner {
             board: Mutex::new(Board::default()),
             queue: JobQueue::new(),
             cfg,
+            run: RunConfig::from_env(),
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             requeues_total: AtomicU64::new(0),
@@ -341,8 +342,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Start the service: resume persisted jobs from `cfg.dir` (if any),
-    /// then spawn the worker pool, the aggregator and the monitor.
+    /// Start the service: resolve the `SWAPCODES_*` settings once (see
+    /// [`Self::run_config`]), resume persisted jobs from `cfg.dir` (if
+    /// any), then spawn the worker pool, the aggregator and the monitor.
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers;
@@ -472,6 +474,13 @@ impl Service {
     /// acceptance example use to inspect merged tallies directly.
     pub fn with_board<T>(&self, f: impl FnOnce(&Board) -> T) -> T {
         f(&self.inner.board.lock().expect("board poisoned"))
+    }
+
+    /// The `SWAPCODES_*` settings this service resolved at start. Every
+    /// cell is prepared under its fuel override.
+    #[must_use]
+    pub fn run_config(&self) -> &RunConfig {
+        &self.inner.run
     }
 
     /// Service-level robustness and prepared-campaign cache metrics.
@@ -851,14 +860,12 @@ fn leased_campaign(
     };
     let options = CampaignOptions {
         mix: leased.mix,
-        ..CampaignOptions::from_env()
+        ..inner.run.campaign_options()
     };
     let key = PrepKey {
         workload: w.name,
         scheme: leased.scheme,
         options,
-        fuel: fuel_from_env(),
-        snapshot_interval: snapshot_interval_from_env(),
     };
     let got = catch_unwind(AssertUnwindSafe(|| {
         inner.prepared.get(key, leased.seed, || {
