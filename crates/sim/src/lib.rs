@@ -51,8 +51,6 @@ pub use recovery::{
     RecoveryStats,
 };
 pub use regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
-pub use snapshot::{
-    CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, ResumeMode, WarpSnapshot,
-};
+pub use snapshot::{CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, WarpSnapshot};
 pub use tier2::{CompiledKernel, ExecTier};
 pub use timing::{simulate_kernel, KernelTiming, RecoveryCostModel, TimingConfig};

@@ -159,20 +159,6 @@ pub struct GoldenCapture {
     pub mem: GlobalMemory,
 }
 
-/// How a trial materializes the epoch snapshot it resumes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResumeMode {
-    /// Deep-copy the full snapshot upfront and compare complete machine
-    /// state at convergence checks — the legacy O(total state) path, kept
-    /// as the differential anchor for the copy-on-write path.
-    Clone,
-    /// Share the snapshot through `Arc`s and materialize only what the
-    /// trial writes; convergence checks compare only the dirty superset
-    /// (trial writes ∪ accumulated golden deltas) against golden state.
-    #[default]
-    Cow,
-}
-
 /// Result of one fast-forwarded trial.
 #[derive(Debug)]
 pub struct FastTrial {
@@ -426,49 +412,6 @@ impl CampaignEngine {
         fuel: u64,
         cancel: Option<&CancelToken>,
     ) -> FastTrial {
-        self.run_trial_mode(fault, fuel, cancel, ResumeMode::Cow)
-    }
-
-    /// Index of the ladder rung `fault`'s trial resumes from: the latest
-    /// rung whose captured golden prefix is provably fault-free. For
-    /// datapath classes that is "no matching-side eligible access has
-    /// reached the strike / activation index yet"; for control strikes it is
-    /// "the delivery instruction has not issued yet".
-    #[must_use]
-    pub fn resume_rung(&self, fault: &FaultSpec) -> usize {
-        let mut si = 0;
-        for (i, s) in self.ladder.snapshots.iter().enumerate() {
-            let before_strike = if fault.is_control() {
-                s.dyn_count <= fault.eligible_index
-            } else {
-                s.eligible_for(fault.target) <= fault.eligible_index
-            };
-            if before_strike {
-                si = i;
-            } else {
-                break;
-            }
-        }
-        si
-    }
-
-    /// [`Self::run_trial_cancellable`] with an explicit [`ResumeMode`]:
-    /// `Cow` (the default everywhere else) shares the resume snapshot and
-    /// compares dirty state only; `Clone` deep-copies it upfront and
-    /// compares complete machine state — the legacy cost model, kept as the
-    /// byte-identity anchor the CoW path is differentially tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder is empty, exactly like [`Self::run_trial`].
-    #[must_use]
-    pub fn run_trial_mode(
-        &self,
-        fault: FaultSpec,
-        fuel: u64,
-        cancel: Option<&CancelToken>,
-        mode: ResumeMode,
-    ) -> FastTrial {
         let si = self.resume_rung(&fault);
         let snap = &self.ladder.snapshots[si];
         let mut ctx = FastCtx {
@@ -504,15 +447,6 @@ impl CampaignEngine {
                 waiting_bar: bar,
             })
             .collect();
-        if mode == ResumeMode::Clone {
-            ctx.mem.materialize_all();
-            ctx.shared.materialize();
-            for w in &mut warps {
-                // Materialization re-arms tier-2 deferred encoding, exactly
-                // like the legacy clone-then-set_deferred sequence.
-                w.rf.materialize();
-            }
-        }
         // Early-exit is only sound when the golden suffix itself completes
         // within this trial's fuel and dynamic caps: otherwise the
         // from-scratch trial would have hung or truncated, not Masked.
@@ -526,7 +460,6 @@ impl CampaignEngine {
             fault,
             fuel_ok,
             acc: DeltaAcc::sized_like(snap),
-            full: mode == ResumeMode::Clone,
             converged: &mut converged,
         };
         run_rounds(&mut ctx, &mut warps, &mut hook, self.compiled.as_ref());
@@ -553,6 +486,29 @@ impl CampaignEngine {
             cow_pages_total: ctx.mem.page_count() as u64,
             mem: ctx.mem,
         }
+    }
+
+    /// Index of the ladder rung `fault`'s trial resumes from: the latest
+    /// rung whose captured golden prefix is provably fault-free. For
+    /// datapath classes that is "no matching-side eligible access has
+    /// reached the strike / activation index yet"; for control strikes it is
+    /// "the delivery instruction has not issued yet".
+    #[must_use]
+    pub fn resume_rung(&self, fault: &FaultSpec) -> usize {
+        let mut si = 0;
+        for (i, s) in self.ladder.snapshots.iter().enumerate() {
+            let before_strike = if fault.is_control() {
+                s.dyn_count <= fault.eligible_index
+            } else {
+                s.eligible_for(fault.target) <= fault.eligible_index
+            };
+            if before_strike {
+                si = i;
+            } else {
+                break;
+            }
+        }
+        si
     }
 }
 
@@ -710,9 +666,6 @@ enum Hook<'l> {
         fuel_ok: bool,
         /// Golden dirty sets accumulated since the resume rung.
         acc: DeltaAcc,
-        /// Compare complete machine state ([`ResumeMode::Clone`]) instead of
-        /// the dirty superset.
-        full: bool,
         converged: &'l mut bool,
     },
 }
@@ -753,25 +706,19 @@ fn capture_epoch(ctx: &mut FastCtx<'_>, warps: &mut [FastWarp]) -> EpochSnapshot
 }
 
 /// Whether the trial's architectural state is byte-identical to the golden
-/// epoch snapshot. Register files compare stored words only (`stored_eq`):
-/// the decoder arming flag is a performance hint with no architectural
-/// effect once every stored word is a consistent codeword — which byte
-/// equality with the (fault-free) golden state guarantees.
+/// epoch snapshot. Register files compare stored words only
+/// (`stored_eq_reg`): the decoder arming flag is a performance hint with no
+/// architectural effect once every stored word is a consistent codeword —
+/// which byte equality with the (fault-free) golden state guarantees.
 ///
-/// With `full` unset, bulk state is compared over the dirty superset only:
-/// the trial's materialized pages / touched registers / materialized shared
-/// memory, unioned with the golden deltas accumulated in `acc`. Locations
+/// Bulk state is compared over the dirty superset only: the trial's
+/// materialized pages / touched registers / materialized shared memory,
+/// unioned with the golden deltas accumulated in `acc`. Locations
 /// outside both sets hold the resume snapshot's bytes in both machines, so
 /// skipping them cannot mask a difference (DESIGN §14). Control state
 /// (fragments, predicates, barrier flags) is tiny and always compared in
 /// full.
-fn state_matches(
-    s: &EpochSnapshot,
-    ctx: &FastCtx<'_>,
-    warps: &[FastWarp],
-    acc: &DeltaAcc,
-    full: bool,
-) -> bool {
+fn state_matches(s: &EpochSnapshot, ctx: &FastCtx<'_>, warps: &[FastWarp], acc: &DeltaAcc) -> bool {
     if warps.len() != s.warps.len() {
         return false;
     }
@@ -781,12 +728,6 @@ fn state_matches(
         }
     }
     for ((w, ws), acc_regs) in warps.iter().zip(&s.warps).zip(&acc.regs) {
-        if full {
-            if !w.rf.stored_eq(&ws.rf) {
-                return false;
-            }
-            continue;
-        }
         // An unmaterialized file has an all-zero touched bitmap (drained at
         // capture), so only the golden deltas are walked for it.
         let touched = w.rf.touched_bits();
@@ -801,13 +742,8 @@ fn state_matches(
             }
         }
     }
-    if (full || acc.shared || ctx.shared.is_materialized())
-        && ctx.shared.words() != s.shared.as_slice()
-    {
+    if (acc.shared || ctx.shared.is_materialized()) && ctx.shared.words() != s.shared.as_slice() {
         return false;
-    }
-    if full {
-        return ctx.mem.words() == s.mem.as_slice();
     }
     let resident = ctx.mem.resident_bits();
     for (word, &acc_bits) in acc.pages.iter().enumerate() {
@@ -886,7 +822,6 @@ fn run_rounds(
                 fault,
                 fuel_ok,
                 acc,
-                full,
                 converged,
             } => {
                 if *fuel_ok && !ctx.halted() && ctx.pending_due.is_none() {
@@ -913,7 +848,7 @@ fn run_rounds(
                                 w.rf.flush_deferred();
                             }
                         }
-                        if state_matches(&snaps[*idx], ctx, warps, acc, *full) {
+                        if state_matches(&snaps[*idx], ctx, warps, acc) {
                             **converged = true;
                             return;
                         }
